@@ -9,9 +9,10 @@ are assigned.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+from .diagram import crossing_data
+from .hc0 import extract_presentation, simplify
 
 DEFAULT_MAX_PRIME = 13
 DEFAULT_MAX_GENERATORS = 16
@@ -143,7 +144,7 @@ def _count_point(relations, nvars, lam0, mu0, p):
 
 
 def count_augmentations(pres, p, max_prime=DEFAULT_MAX_PRIME,
-                        max_generators=DEFAULT_MAX_GENERATORS, threads=None):
+                        max_generators=DEFAULT_MAX_GENERATORS):
     """AugTable of the presentation over Z_p, all (lam0, mu0) in (F_p*)^2."""
     if not _is_prime(p):
         raise ValueError("%r is not prime" % (p,))
@@ -155,39 +156,27 @@ def count_augmentations(pres, p, max_prime=DEFAULT_MAX_PRIME,
             "%d surviving generators exceed the search bound %d"
             % (len(variables), max_generators))
     points = [(l0, m0) for l0 in range(1, p) for m0 in range(1, p)]
-    if threads is None:
-        threads = _default_threads()
-    if threads > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            counts = list(ex.map(
-                lambda pt: _count_point(relations, len(variables),
-                                        pt[0], pt[1], p),
-                points))
-    else:
-        counts = [_count_point(relations, len(variables), l0, m0, p)
-                  for l0, m0 in points]
+    counts = [_count_point(relations, len(variables), l0, m0, p)
+              for l0, m0 in points]
     return AugTable(p=p, counts=tuple(zip(points, counts)))
 
 
-def _default_threads():
-    try:
-        return max(1, int(os.environ.get("KCH_THREADS", "1")))
-    except ValueError:
-        return 1
+def presentation_signature(pres, primes, max_prime=DEFAULT_MAX_PRIME,
+                           max_generators=DEFAULT_MAX_GENERATORS):
+    """Per-prime tables of an already simplified presentation."""
+    tables = tuple(
+        count_augmentations(pres, p, max_prime=max_prime,
+                            max_generators=max_generators)
+        for p in primes)
+    return Signature(primes=tuple(primes), tables=tables)
 
 
 def aug_signature(pd, primes, max_prime=DEFAULT_MAX_PRIME,
-                  max_generators=DEFAULT_MAX_GENERATORS, threads=None):
+                  max_generators=DEFAULT_MAX_GENERATORS):
     """crossing_data -> presentation -> simplify -> per-prime tables."""
-    from .diagram import crossing_data
-    from .hc0 import extract_presentation, simplify
-
     pres = simplify(extract_presentation(crossing_data(pd)))
-    tables = tuple(
-        count_augmentations(pres, p, max_prime=max_prime,
-                            max_generators=max_generators, threads=threads)
-        for p in primes)
-    return Signature(primes=tuple(primes), tables=tables)
+    return presentation_signature(pres, primes, max_prime=max_prime,
+                                  max_generators=max_generators)
 
 
 def distinguish(s1, s2):

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import sympy
-
 from .laurent import (LaurentPoly, UniPoly, divides, render, resultant,
-                      substitute_mu_neg_musq_of, unit_normalize)
+                      unit_normalize)
 
 
 @dataclass
@@ -33,35 +31,29 @@ class AugPolyResult:
         }
 
 
-_L, _M = sympy.symbols("l m")
-
-
-def _to_sympy(p):
-    i0, j0 = p.min_exponents()
-    q = p * LaurentPoly.unit(1, -i0, -j0)
-    return sympy.Poly.from_dict(
-        {e: c for e, c in q.terms.items()}, _L, _M, domain="ZZ")
-
-
-def _from_sympy(poly):
-    terms = {tuple(int(x) for x in mono): int(c)
-             for mono, c in poly.as_dict().items()}
-    return LaurentPoly(terms)
-
-
 def laurent_gcd(polys):
     """Gcd in Z[l, m] of nonzero Laurent polynomials, up to units."""
+    import sympy  # the only use of sympy; kept out of the import of kch
+
     ps = [p for p in polys if p]
     if not ps:
         return LaurentPoly.zero()
-    g = _to_sympy(ps[0])
+    lm = sympy.symbols("l m")
+
+    def to_sympy(p):
+        i0, j0 = p.min_exponents()
+        q = p * LaurentPoly.unit(1, -i0, -j0)
+        return sympy.Poly.from_dict(dict(q.terms), *lm, domain="ZZ")
+
+    g = to_sympy(ps[0])
     for p in ps[1:]:
-        g = sympy.gcd(g, _to_sympy(p))
-        g = sympy.Poly(g, _L, _M, domain="QQ")
-    g = sympy.Poly(g, _L, _M, domain="QQ")
+        g = sympy.gcd(g, to_sympy(p))
+        g = sympy.Poly(g, *lm, domain="QQ")
+    g = sympy.Poly(g, *lm, domain="QQ")
     _, prim = g.clear_denoms()
-    prim = sympy.Poly(prim, _L, _M, domain="ZZ").primitive()[1]
-    return _from_sympy(prim)
+    prim = sympy.Poly(prim, *lm, domain="ZZ").primitive()[1]
+    return LaurentPoly({tuple(int(x) for x in mono): int(c)
+                        for mono, c in prim.as_dict().items()})
 
 
 def _single_generator_unipoly(rel, gen):
@@ -132,5 +124,4 @@ def check_apoly_divisibility(augpoly, apoly):
     if not apoly:
         raise ValueError("zero A-polynomial")
     one_minus_musq = LaurentPoly.const(1) - LaurentPoly.mu(2)
-    return divides(one_minus_musq * apoly,
-                   substitute_mu_neg_musq_of(augpoly))
+    return divides(one_minus_musq * apoly, augpoly.substitute_mu_neg_musq())

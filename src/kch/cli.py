@@ -13,8 +13,9 @@ import sys
 
 from . import knots
 from .augment import (DEFAULT_MAX_GENERATORS, DEFAULT_MAX_PRIME,
-                      IntractableError, aug_signature, count_augmentations,
-                      distinguish, first_difference)
+                      IntractableError, _is_prime, aug_signature,
+                      count_augmentations, distinguish, first_difference,
+                      presentation_signature)
 from .augpoly import augmentation_polynomial, check_apoly_divisibility
 from .dga import build_dga, check_d_squared, check_grading
 from .diagram import DiagramError, crossing_data, parse_pd
@@ -28,11 +29,18 @@ class ComputationError(RuntimeError):
     pass
 
 
-def _parse_primes(text):
+def _parse_prime(text):
     try:
-        primes = [int(x) for x in text.split(",") if x.strip()]
+        p = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("bad prime list %r" % text)
+        raise argparse.ArgumentTypeError("bad prime %r" % text)
+    if not _is_prime(p):
+        raise argparse.ArgumentTypeError("%d is not prime" % p)
+    return p
+
+
+def _parse_primes(text):
+    primes = [_parse_prime(x) for x in text.split(",") if x.strip()]
     if not primes:
         raise argparse.ArgumentTypeError("empty prime list")
     return primes
@@ -63,7 +71,7 @@ def build_parser():
 
     p = sub.add_parser("aug", help="augmentation numbers over Z_p")
     add_pd(p)
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=_parse_prime, required=True)
     p.add_argument("--lambda", dest="lam0", type=int, default=None)
     p.add_argument("--mu", dest="mu0", type=int, default=None)
     p.add_argument("--max-generators", type=int,
@@ -97,8 +105,7 @@ def build_parser():
 # -- report builders --------------------------------------------------
 
 
-def _diagram_stats(pd):
-    cd = crossing_data(pd)
+def _diagram_stats(pd, cd):
     return {
         "n": pd.n,
         "arcs": [list(run) for run in pd.arcs()],
@@ -112,7 +119,7 @@ def _diagram_stats(pd):
 
 def cmd_parse(args):
     pd = parse_pd(args.pd)
-    return {"schema": SCHEMA, **_diagram_stats(pd)}
+    return {"schema": SCHEMA, **_diagram_stats(pd, crossing_data(pd))}
 
 
 def cmd_dga(args):
@@ -210,18 +217,19 @@ def cmd_table(args):
         rep = {"name": name}
         try:
             pd = parse_pd(code)
-            rep.update(_diagram_stats(pd))
-            dga = build_dga(crossing_data(pd))
+            cd = crossing_data(pd)
+            rep.update(_diagram_stats(pd, cd))
+            dga = build_dga(cd)
             rep["d_squared"] = "pass" if check_d_squared(dga)["pass"] \
                 else "fail"
             rep["grading"] = "pass" if check_grading(dga)["pass"] else "fail"
-            pres = simplify(extract_presentation(crossing_data(pd)))
+            pres = simplify(extract_presentation(cd))
             rep["presentation"] = {
                 "generators": [g.name() for g in pres.generators],
                 "relations": [str(r) for r in pres.relations],
             }
-            sig = aug_signature(pd, args.primes,
-                                max_generators=args.max_generators)
+            sig = presentation_signature(pres, args.primes,
+                                         max_generators=args.max_generators)
             rep["signature"] = sig.as_json_obj()
             signatures[name] = sig
             rep["augmentation_polynomial"] = \

@@ -300,11 +300,6 @@ def parse_poly(text):
     return result
 
 
-def substitute_mu_neg_musq_of(p):
-    """Module-level alias for the ring map l -> l, m -> -m^2."""
-    return p.substitute_mu_neg_musq()
-
-
 def unit_normalize(p):
     """Scale p by the unique unit ±l^a*m^b giving min exponents 0 and a
     positive coefficient on the lexicographically smallest monomial."""

@@ -86,14 +86,6 @@ def test_bounds_and_validation():
         count_augmentations(pres, 2, max_generators=0)
 
 
-def test_threads_do_not_change_counts():
-    pres = _simplified("figure8")
-    for p in (2, 3, 5):
-        seq = count_augmentations(pres, p, threads=1)
-        par = count_augmentations(pres, p, threads=4)
-        assert seq == par
-
-
 def test_signature_and_distinguish():
     sig_lh = aug_signature(bundled_knot("trefoil_lh"), [2, 3, 5, 7])
     sig_rh = aug_signature(bundled_knot("trefoil_rh"), [2, 3, 5, 7])

@@ -1,12 +1,13 @@
 """Tests for the kch command line."""
 
+import collections
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
+import kch.cli
 from kch.cli import main
 
 TREFOIL_LH = "PD[X[3,6,4,1],X[5,2,6,3],X[1,4,2,5]]"
@@ -164,15 +165,44 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
-def _run_proc(args, threads):
-    env = dict(os.environ, KCH_THREADS=str(threads))
-    return subprocess.run([sys.executable, "-m", "kch.cli"] + args,
-                          capture_output=True, env=env, check=True)
+@pytest.mark.parametrize("argv, bad", [
+    (["aug", "--prime", "4", "--pd", UNKNOT], 4),
+    (["compare", "--pd-a", UNKNOT, "--pd-b", UNKNOT, "--primes", "1,2"], 1),
+    (["table", "--primes", "4"], 4),
+])
+def test_non_prime_exit_2(capsys, argv, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "%d is not prime" % bad in captured.err
 
 
-def test_thread_env_determinism(tmp_path):
+def test_table_runs_each_stage_once_per_knot(capsys, tmp_path, monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name):
+        original = getattr(kch.cli, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in ("simplify", "crossing_data"):
+        monkeypatch.setattr(kch.cli, name, counted(name))
     f = tmp_path / "knots.txt"
     f.write_text("unknot: %s\ntref: %s\n" % (UNKNOT, TREFOIL_LH))
-    outs = {t: _run_proc(["table", str(f), "--primes", "2,3"], t).stdout
-            for t in (1, 4)}
-    assert outs[1] == outs[4]
+    code, _, _ = run_cli(capsys, "table", str(f), "--primes", "2,3")
+    assert code == 0
+    assert calls == {"simplify": 2, "crossing_data": 2}
+
+
+def test_parse_does_not_import_sympy():
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "kch.cli", "parse",
+         "--pd", TREFOIL_LH], capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout)["n"] == 3
+    imported = {line.split("|")[-1].strip()
+                for line in proc.stderr.splitlines()}
+    assert "kch.augpoly" in imported and "sympy" not in imported
