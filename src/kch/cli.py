@@ -210,7 +210,11 @@ def cmd_table(args):
     if args.file is None:
         entries = knots.bundled_table()
     else:
-        entries = knots.load_table(args.file)
+        try:
+            entries = knots.load_table(args.file)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DiagramError("cannot read %s: %s" % (
+                args.file, getattr(exc, "strerror", None) or exc))
     reports = []
     signatures = {}
     for name, code in entries:

@@ -233,7 +233,16 @@ def parse_pd(text):
             raise DiagramError("bad JSON PD code: %s" % exc) from None
         if not isinstance(obj, dict) or "crossings" not in obj:
             raise DiagramError('JSON PD code needs a "crossings" key')
-        return PDCode(obj["crossings"])
+        crossings = obj["crossings"]
+        if not isinstance(crossings, list):
+            raise DiagramError('JSON "crossings" must be a list')
+        for c in crossings:
+            # bool is an int subclass, but true is not an edge label
+            if not (isinstance(c, list) and len(c) == 4
+                    and all(type(x) is int for x in c)):
+                raise DiagramError("JSON crossing %s is not a list of 4 "
+                                   "integer edge labels" % json.dumps(c))
+        return PDCode(crossings)
     compact = re.sub(r"\s+", "", s)
     m = re.fullmatch(r"PD\[(.*)\]", compact)
     if not m:

@@ -43,7 +43,18 @@ def word_degree(word):
 
 
 def _word_key(word):
-    return (len(word), tuple((g.kind, g.i, g.j) for g in word))
+    """Shorter words first, then letter by letter; letters are Generators
+    or the ints that stand for them in Generator order."""
+    return (len(word), word)
+
+
+def _accumulate(terms, word, c):
+    s = terms.get(word)
+    s = c if s is None else s + c
+    if s:
+        terms[word] = s
+    elif word in terms:
+        del terms[word]
 
 
 class NCPoly:
@@ -139,13 +150,27 @@ class NCPoly:
         return "inhomogeneous"
 
     def substitute(self, g, replacement):
-        """Replace every occurrence of generator g by the given NCPoly."""
-        out = NCPoly.zero()
+        """Replace every occurrence of generator g by the given NCPoly,
+        splicing the replacement's words into each word that contains g."""
+        rterms = list(replacement.terms.items())
+        t = {}
         for w, c in self.terms.items():
-            prod = NCPoly.scalar(c)
-            for letter in w:
-                prod = prod * (replacement if letter == g else NCPoly.gen(letter))
-            out = out + prod
+            if g not in w:
+                _accumulate(t, w, c)
+                continue
+            cuts = [k for k, x in enumerate(w) if x == g]
+            parts = {w[:cuts[0]]: c}
+            for k, end in zip(cuts, cuts[1:] + [len(w)]):
+                tail = w[k + 1:end]
+                spliced = {}
+                for pw, pc in parts.items():
+                    for rw, rc in rterms:
+                        _accumulate(spliced, pw + rw + tail, pc * rc)
+                parts = spliced
+            for pw, pc in parts.items():
+                _accumulate(t, pw, pc)
+        out = NCPoly.__new__(NCPoly)
+        out.terms = t
         return out
 
     def sorted_terms(self):
@@ -188,7 +213,7 @@ def nc_unit_normalize(p):
         raise ValueError("cannot normalize the zero polynomial")
     i0 = min(i for c in p.terms.values() for (i, _) in c.terms)
     j0 = min(j for c in p.terms.values() for (_, j) in c.terms)
-    q = p * LaurentPoly.unit(1, -i0, -j0)
+    q = p * LaurentPoly.unit(1, -i0, -j0) if i0 or j0 else p
     w0 = min(q.terms, key=_word_key)
     lead = q.terms[w0]
     if lead.terms[min(lead.terms)] < 0:

@@ -29,6 +29,10 @@ def test_parse(capsys):
     assert rep["n"] == 3
     assert len(rep["crossings"]) == 3
     assert rep["crossings"][0] == {"o": 1, "l": 2, "r": 3, "eps": -1}
+    code, out, _ = run_cli(capsys, "parse", "--pd",
+                           '{"crossings": [[3, 6, 4, 1], [5, 2, 6, 3], '
+                           '[1, 4, 2, 5]]}')
+    assert code == 0 and json.loads(out) == rep
 
 
 def test_parse_bad_pd_exit_2(capsys):
@@ -36,6 +40,21 @@ def test_parse_bad_pd_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert "kch:" in err
+
+
+@pytest.mark.parametrize("pd", [
+    '{"crossings": 5}',
+    '{"crossings": [5]}',
+    '{"crossings": [["a", 1, 2, 3]]}',
+    '{"crossings": [[1.5, 1, 2, 2]]}',
+    '{"crossings": [[true, 1, 2, 2]]}',
+    '{"crossings": [[1, 1, 2]]}',
+])
+def test_parse_malformed_json_crossings_exit_2(capsys, pd):
+    code, out, err = run_cli(capsys, "parse", "--pd", pd)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("kch: ") and "Traceback" not in err
 
 
 def test_dga_check(capsys):
@@ -137,6 +156,18 @@ def test_table_empty_file(capsys, tmp_path):
     rep = json.loads(out)
     assert code == 0
     assert rep["knots"] == [] and rep["distinguish_matrix"] == []
+
+
+def test_table_unreadable_file_exit_2(capsys, tmp_path):
+    missing = tmp_path / "no-such-file.txt"
+    code, out, err = run_cli(capsys, "table", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("kch: cannot read %s" % missing)
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe\x00knot")
+    code, out, err = run_cli(capsys, "table", str(binary))
+    assert code == 2 and err.startswith("kch: cannot read")
 
 
 def test_table_pairwise_distinction(capsys, tmp_path):

@@ -1,8 +1,13 @@
 """Tests for cord-algebra presentations and their simplification."""
 
-from kch.diagram import crossing_data
-from kch.hc0 import Presentation, extract_presentation, replay_log, simplify
-from kch.knots import bundled_knot
+import random
+
+import pytest
+
+from kch.diagram import apply_move, available_moves, crossing_data
+from kch.hc0 import (MAX_REPLACEMENT_WORD, Presentation, extract_presentation,
+                     replay_log, simplify)
+from kch.knots import bundled_knot, bundled_table
 from kch.laurent import LaurentPoly
 from kch.ncalg import Generator, NCPoly, nc_unit_normalize
 
@@ -84,3 +89,111 @@ def test_relation_sizes_stay_bounded():
             crossing_data(bundled_knot(name))))
         total = sum(len(str(r)) for r in pres.relations)
         assert total < 20000, (name, total)
+
+
+def _simplify_by_rescanning(pres):
+    """Reference for simplify: every step rescans and re-normalizes every
+    relation, and substitutes into every relation that contains g."""
+
+    def offer(rel, alive):
+        for g in alive:
+            coeff = rel.terms.get((g,))
+            if coeff is None or not coeff.is_ring_unit():
+                continue
+            if any(g in w for w in rel.terms if w != (g,)):
+                continue
+            return g, coeff
+        return None
+
+    def dedupe(relations):
+        seen, out = set(), []
+        for rel in relations:
+            key = nc_unit_normalize(rel) if rel else None
+            if key is not None and key not in seen:
+                seen.add(key)
+                out.append(rel)
+        return out
+
+    relations = list(pres.relations)
+    log = list(pres.substitution_log)
+    alive = sorted(set(pres.generators))
+    for cap in (MAX_REPLACEMENT_WORD, None):
+        changed = True
+        while changed:
+            changed = False
+            best = None
+            for idx, rel in enumerate(relations):
+                hit = offer(rel, alive) if rel else None
+                if hit is None:
+                    continue
+                g, u = hit
+                repl = (rel - NCPoly.gen(g, u)) * (-u.inverse_unit())
+                cost = (max((len(w) for w in repl.terms), default=0),
+                        len(repl.terms))
+                if cap is not None and cost[0] > cap:
+                    continue
+                if best is None or cost + (idx, g) < best[0]:
+                    best = (cost + (idx, g), idx, g, repl)
+            if best is not None:
+                _, idx, g, repl = best
+                relations = [NCPoly.zero() if k == idx else
+                             r.substitute(g, repl) if g in r.generators()
+                             else r for k, r in enumerate(relations)]
+                log.append((g, repl))
+                alive.remove(g)
+                changed = True
+            relations = dedupe(relations)
+    return Presentation(generators=alive, relations=relations,
+                        substitution_log=log)
+
+
+def _inflated(name, n, seed):
+    """A bundled knot grown to n crossings by seeded R2 moves."""
+    rng = random.Random(seed)
+    pd = bundled_knot(name)
+    while pd.n < n:
+        pd = apply_move(pd, rng.choice(
+            [m for m in available_moves(pd) if m["move"] == "r2_add"]))
+    return pd
+
+
+def _assert_same_as_reference(pres):
+    got, want = simplify(pres), _simplify_by_rescanning(pres)
+    assert got.generators == want.generators
+    assert got.relations == want.relations
+    assert got.substitution_log == want.substitution_log
+
+
+@pytest.mark.parametrize("name", [name for name, _ in bundled_table()])
+def test_simplify_matches_reference_on_bundled_knots(name):
+    _assert_same_as_reference(
+        extract_presentation(crossing_data(bundled_knot(name))))
+
+
+@pytest.mark.parametrize("name, n, seed", [
+    ("figure8", 8, 1), ("trefoil_lh", 7, 2), ("5_2", 7, 3), ("unknot", 7, 4),
+])
+def test_simplify_matches_reference_on_r2_inflations(name, n, seed):
+    pd = _inflated(name, n, seed)
+    assert pd.n == n
+    _assert_same_as_reference(extract_presentation(crossing_data(pd)))
+
+
+def test_simplify_never_eliminates_unlisted_generators():
+    # a21 occurs linearly with a unit coefficient but is not a generator
+    # of the presentation, so it must stay in the relations
+    a12, a21, a31 = (Generator("a", 1, 2), Generator("a", 2, 1),
+                     Generator("a", 3, 1))
+    x, y, z = NCPoly.gen(a12), NCPoly.gen(a21), NCPoly.gen(a31)
+    pres = Presentation(
+        generators=[a31, a12],
+        relations=[y - NCPoly.scalar(1),
+                   NCPoly.gen(a12, M()) - y * z,
+                   z * y - NCPoly.gen(a21, L()) + x * x,
+                   -(y - NCPoly.scalar(1))])
+    out = simplify(pres)
+    assert out.generators == [a31]
+    assert [g for g, _ in out.substitution_log] == [a12]
+    assert all(a21 in r.generators() for r in out.relations)
+    assert len(out.relations) == 2
+    _assert_same_as_reference(pres)

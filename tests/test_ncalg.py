@@ -53,6 +53,38 @@ def test_substitute():
     # substituting an absent generator is the identity
     assert p.substitute(B11, NCPoly.zero()) == p
 
+    lam, mu = LaurentPoly.lam(), LaurentPoly.mu()
+    b = NCPoly.gen(B11)
+    several = NCPoly.gen(A12, mu) * b * x * y * x + x * x \
+        + NCPoly.scalar(lam) + y * b
+    repl = y * b + NCPoly.gen(A21, -lam) + NCPoly.scalar(mu + 2)
+    cases = [
+        # g first, in the middle and last; several terms and the empty word
+        (several, repl),
+        (several, NCPoly.scalar(lam)),
+        # a zero replacement kills every word containing g
+        (several, NCPoly.zero()),
+        # x*y - y*x vanishes when x becomes a polynomial in y alone
+        (x * y - y * x + b, y * y - NCPoly.gen(A21, mu)),
+        # cancellation against a word that does not contain g
+        (x * b - y * b * b, y * b),
+    ]
+    for poly, r in cases:
+        assert poly.substitute(A12, r) == _substitute_by_letters(poly, A12, r)
+    assert (x * y - y * x + b).substitute(A12, y * y) == b
+    assert (x * b - y * b * b).substitute(A12, y * b) == NCPoly.zero()
+
+
+def _substitute_by_letters(p, g, replacement):
+    """Reference: rebuild each word as a product, one letter at a time."""
+    out = NCPoly.zero()
+    for w, c in p.terms.items():
+        prod = NCPoly.scalar(c)
+        for letter in w:
+            prod = prod * (replacement if letter == g else NCPoly.gen(letter))
+        out = out + prod
+    return out
+
 
 def test_homogeneous_degree():
     assert NCPoly.zero().homogeneous_degree() == "zero"
