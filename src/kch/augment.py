@@ -12,14 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import crossing_data
-from .hc0 import extract_presentation, simplify
+from .hc0 import IntractableError, extract_presentation, simplify
 
 DEFAULT_MAX_PRIME = 13
 DEFAULT_MAX_GENERATORS = 16
-
-
-class IntractableError(RuntimeError):
-    """Search-size bound exceeded."""
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,9 @@ def _settle(cache, holder, rels, alive):
     (position, relation) of rels, taken in ascending position, and keep
     one relation per key, the one at the smallest position.  holder maps
     each key to the position of its cached relation; no relation of rels
-    may hold a key yet.  Zero relations are dropped."""
+    may hold a key yet.  Zero relations are dropped.  Returns the number
+    of terms in the relations dropped as duplicates."""
+    dropped = 0
     for p, rel in rels:
         if not rel:
             continue
@@ -76,15 +78,26 @@ def _settle(cache, holder, rels, alive):
         q = holder.get(key)
         if q is not None:
             if q < p:
+                dropped += len(rel.terms)
                 continue
-            del cache[q]
+            dropped += len(cache.pop(q)[0].terms)
         holder[key] = p
         cache[p] = (rel, key, _offer(rel, alive), rel.generators())
+    return dropped
 
 
 # Substituting words longer than this for a generator tends to blow up
 # the surviving relations without reducing the quotient any further.
 MAX_REPLACEMENT_WORD = 2
+
+# simplify gives up once its relations hold more terms than this in all.
+# The largest total seen on the tests and benchmark inputs is 782; R2
+# inflations that used to exhaust memory stop here within ~5 s, ~110 MB.
+MAX_RELATION_TERMS = 100_000
+
+
+class IntractableError(RuntimeError):
+    """A stage exceeded its size bound."""
 
 
 def simplify(pres):
@@ -104,15 +117,19 @@ def simplify(pres):
 
     The loop codes letters as ints in Generator order and caches each
     relation's unit-normal key, offer and generator set; after a step it
-    recomputes these only for the relations that contained g."""
+    recomputes these only for the relations that contained g.  Raises
+    IntractableError once the relations hold more than MAX_RELATION_TERMS
+    terms."""
     letters = sorted(set(pres.generators).union(
         *(r.generators() for r in pres.relations)))
     code = {g: k for k, g in enumerate(letters)}
     alive = {code[g] for g in pres.generators}
     cache = {}   # position -> (relation, key, offer, generators)
     holder = {}  # unit-normal key -> position of the relation kept for it
-    _settle(cache, holder, [(p, _recode(r, code))
-                            for p, r in enumerate(pres.relations)], alive)
+    size = sum(len(r.terms) for r in pres.relations)  # terms held
+    size -= _settle(cache, holder, [(p, _recode(r, code))
+                                    for p, r in enumerate(pres.relations)],
+                    alive)
     log = []
     for cap in (MAX_REPLACEMENT_WORD, None):
         while True:
@@ -124,6 +141,7 @@ def simplify(pres):
                 break
             rel, key, (_, g, u), _ = cache.pop(best[1])
             del holder[key]
+            size -= len(rel.terms)
             k = -u.inverse_unit()
             replacement = NCPoly({w: c * k for w, c in rel.terms.items()
                                   if w != (g,)})
@@ -132,10 +150,16 @@ def simplify(pres):
             for p in touched:
                 rel, key, _, _ = cache.pop(p)
                 del holder[key]
-                changed.append((p, rel.substitute(g, replacement)))
+                new = rel.substitute(g, replacement)
+                size += len(new.terms) - len(rel.terms)
+                if size > MAX_RELATION_TERMS:
+                    raise IntractableError(
+                        "simplify: %d relation terms exceed the bound %d"
+                        % (size, MAX_RELATION_TERMS))
+                changed.append((p, new))
             alive.discard(g)
             log.append((letters[g], _recode(replacement, letters)))
-            _settle(cache, holder, changed, alive)
+            size -= _settle(cache, holder, changed, alive)
     return Presentation(
         generators=[g for g in sorted(set(pres.generators))
                     if code[g] in alive],

@@ -8,16 +8,16 @@ graded Leibniz rule  d(uv) = d(u)v + (-1)^{deg u} u d(v).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .laurent import LaurentPoly, render
 
 _DEGREE = {"a": 0, "b": 1, "c": 1, "d": 2, "e": 2}
 
 
-@dataclass(frozen=True, order=True)
-class Generator:
-    """Graded generator a_ij / b_ai / c_ia / d_ab / e_a of the framed DGA."""
+class Generator(NamedTuple):
+    """Graded generator a_ij / b_ai / c_ia / d_ab / e_a of the framed DGA;
+    a tuple (kind, i, j), so it hashes and orders as one."""
 
     kind: str
     i: int
@@ -55,6 +55,21 @@ def _accumulate(terms, word, c):
         terms[word] = s
     elif word in terms:
         del terms[word]
+
+
+def _mul_into(terms, left, right):
+    """Accumulate the products of the words and coefficients of two term
+    dicts into terms."""
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            _accumulate(terms, w1 + w2, c1 * c2)
+
+
+def _poly(terms):
+    """NCPoly owning terms, which must hold no zero coefficient."""
+    out = NCPoly.__new__(NCPoly)
+    out.terms = terms
+    return out
 
 
 class NCPoly:
@@ -99,14 +114,8 @@ class NCPoly:
     def __add__(self, other):
         t = dict(self.terms)
         for w, c in other.terms.items():
-            s = t.get(w, LaurentPoly.zero()) + c
-            if s:
-                t[w] = s
-            elif w in t:
-                del t[w]
-        out = NCPoly.__new__(NCPoly)
-        out.terms = t
-        return out
+            _accumulate(t, w, c)
+        return _poly(t)
 
     def __sub__(self, other):
         return self + (-other)
@@ -116,17 +125,8 @@ class NCPoly:
         if isinstance(other, (int, LaurentPoly)):
             other = NCPoly.scalar(other)
         t = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = t.get(w, LaurentPoly.zero()) + c1 * c2
-                if s:
-                    t[w] = s
-                elif w in t:
-                    del t[w]
-        out = NCPoly.__new__(NCPoly)
-        out.terms = t
-        return out
+        _mul_into(t, self.terms, other.terms)
+        return _poly(t)
 
     def __rmul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
@@ -169,9 +169,7 @@ class NCPoly:
                 parts = spliced
             for pw, pc in parts.items():
                 _accumulate(t, pw, pc)
-        out = NCPoly.__new__(NCPoly)
-        out.terms = t
-        return out
+        return _poly(t)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda wc: _word_key(wc[0]))
@@ -246,18 +244,31 @@ class NCMatrix:
         return isinstance(other, NCMatrix) and self.entries == other.entries
 
     def __mul__(self, other):
+        """Row-by-column product over nonzero entries only; each entry
+        gets the terms, in the same key order, that adding up every
+        product self[i, k] * other[k, j] in ascending k would give."""
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        n = self.n
+        cols = [[(k, row[j].terms) for k, row in enumerate(other.entries)
+                 if row[j]] for j in range(other.n)]
         out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                s = NCPoly.zero()
-                for k in range(n):
-                    s = s + self.entries[i][k] * other.entries[k][j]
-                row.append(s)
-            out.append(row)
+        for row in self.entries:
+            out_row = []
+            for col in cols:
+                t = {}
+                for k, right in col:
+                    left = row[k].terms
+                    if len(left) > 1 and len(right) > 1:
+                        # words of this product may coincide: sum it
+                        # apart first, as the whole product would be
+                        part = {}
+                        _mul_into(part, left, right)
+                        for w, c in part.items():
+                            _accumulate(t, w, c)
+                    elif left:
+                        _mul_into(t, left, right)
+                out_row.append(_poly(t))
+            out.append(out_row)
         return NCMatrix(out)
 
     def __sub__(self, other):
@@ -282,17 +293,16 @@ class Derivation:
 
     def apply(self, p):
         """Graded Leibniz extension to an arbitrary NCPoly."""
-        out = NCPoly.zero()
+        images = self.images
+        t = {}
         for w, c in p.terms.items():
-            sign = 1
             for k, g in enumerate(w):
-                if g not in self.images:
-                    raise KeyError("no differential image for %s" % g)
-                img = self.images[g]
-                if img:
-                    term = NCPoly({w[:k]: LaurentPoly.const(sign)}) * img \
-                        * NCPoly({w[k + 1:]: c})
-                    out = out + term
+                img = images.get(g)
+                if img is None:
+                    raise KeyError("no differential image for %s" % g.name())
+                pre, post = w[:k], w[k + 1:]
+                for rw, rc in img.terms.items():
+                    _accumulate(t, pre + rw + post, rc * c)
                 if g.degree % 2:
-                    sign = -sign
-        return out
+                    c = -c
+        return _poly(t)

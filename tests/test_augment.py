@@ -7,7 +7,7 @@ import pytest
 from kch.augment import (AugTable, IntractableError, aug_signature,
                          commutative_relations, count_augmentations,
                          distinguish, first_difference)
-from kch.diagram import crossing_data
+from kch.diagram import crossing_data, mirror
 from kch.hc0 import extract_presentation, simplify
 from kch.knots import bundled_knot, bundled_table
 
@@ -104,3 +104,17 @@ def test_signature_json_shape():
     assert obj["primes"] == [2]
     assert obj["tables"][0]["p"] == 2
     assert obj["tables"][0]["table"] == [{"lambda": 1, "mu": 1, "count": 1}]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in bundled_table()])
+def test_mirror_law(name):
+    # mirroring inverts the longitude: count(K; l0, m0) equals
+    # count(mirror K; l0^-1 mod p, m0)
+    pd = bundled_knot(name)
+    pres = simplify(extract_presentation(crossing_data(pd)))
+    mirrored = simplify(extract_presentation(crossing_data(mirror(pd))))
+    for p in (3, 5, 7):
+        counts = count_augmentations(pres, p).as_dict()
+        mirror_counts = count_augmentations(mirrored, p).as_dict()
+        assert counts == {(pow(l0, -1, p), m0): c
+                          for (l0, m0), c in mirror_counts.items()}, p

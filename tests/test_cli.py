@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import kch.cli
+import kch.hc0
 from kch.cli import main
 
 TREFOIL_LH = "PD[X[3,6,4,1],X[5,2,6,3],X[1,4,2,5]]"
@@ -227,6 +228,23 @@ def test_table_runs_each_stage_once_per_knot(capsys, tmp_path, monkeypatch):
     code, _, _ = run_cli(capsys, "table", str(f), "--primes", "2,3")
     assert code == 0
     assert calls == {"simplify": 2, "crossing_data": 2}
+
+
+def test_simplify_budget_exit_1(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(kch.hc0, "MAX_RELATION_TERMS", 20)
+    code, out, err = run_cli(capsys, "hc0", "--pd", TREFOIL_LH)
+    assert code == 1 and out == ""
+    assert err.startswith("kch: simplify: ") and "bound 20" in err
+    code, _, _ = run_cli(capsys, "hc0", "--no-simplify", "--pd", TREFOIL_LH)
+    assert code == 0
+    f = tmp_path / "knots.txt"
+    f.write_text("unknot: %s\ntref: %s\n" % (UNKNOT, TREFOIL_LH))
+    code, out, _ = run_cli(capsys, "table", str(f), "--primes", "2")
+    assert code == 0
+    unknot, tref = json.loads(out)["knots"]
+    assert "error" not in unknot and "signature" in unknot
+    assert tref["error"].startswith("simplify: ")
+    assert "signature" not in tref
 
 
 def test_parse_does_not_import_sympy():

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+import kch.augment
+import kch.hc0
 from kch.diagram import apply_move, available_moves, crossing_data
-from kch.hc0 import (MAX_REPLACEMENT_WORD, Presentation, extract_presentation,
-                     replay_log, simplify)
+from kch.hc0 import (MAX_REPLACEMENT_WORD, IntractableError, Presentation,
+                     extract_presentation, replay_log, simplify)
 from kch.knots import bundled_knot, bundled_table
 from kch.laurent import LaurentPoly
 from kch.ncalg import Generator, NCPoly, nc_unit_normalize
@@ -89,6 +91,19 @@ def test_relation_sizes_stay_bounded():
             crossing_data(bundled_knot(name))))
         total = sum(len(str(r)) for r in pres.relations)
         assert total < 20000, (name, total)
+
+
+def test_simplify_size_budget(monkeypatch):
+    assert kch.augment.IntractableError is IntractableError
+    pres = extract_presentation(crossing_data(bundled_knot("figure8")))
+    # simplifying figure8 never holds more terms than it starts with
+    size = sum(len(r.terms) for r in pres.relations)
+    monkeypatch.setattr(kch.hc0, "MAX_RELATION_TERMS", size)
+    simplify(pres)
+    monkeypatch.setattr(kch.hc0, "MAX_RELATION_TERMS", size // 2)
+    with pytest.raises(IntractableError,
+                       match=r"^simplify: \d+ relation terms exceed the bound"):
+        simplify(pres)
 
 
 def _simplify_by_rescanning(pres):

@@ -1,7 +1,12 @@
 """Tests for the noncommutative graded algebra layer."""
 
+import random
+
 import pytest
 
+from kch.dga import build_dga
+from kch.diagram import crossing_data
+from kch.knots import bundled_knot, bundled_table
 from kch.laurent import LaurentPoly
 from kch.ncalg import (Derivation, Generator, NCMatrix, NCPoly,
                        nc_unit_normalize)
@@ -21,6 +26,16 @@ def test_degrees_and_names():
     assert A12.name() == "a12"
     assert E1.name() == "e1"
     assert Generator("a", 10, 2).name() == "a(10,2)"
+    assert str(B11) == "b11" and "%s" % (B11,) == "b11"
+
+
+def test_generator_is_a_tuple():
+    assert B11 == ("b", 1, 1) and hash(B11) == hash(("b", 1, 1))
+    assert E1 == ("e", 1, 0)
+    gens = [E1, D11, Generator("a", 2, 1), C11, A12, B11,
+            Generator("a", 10, 2)]
+    assert sorted(gens) == [A12, Generator("a", 2, 1),
+                            Generator("a", 10, 2), B11, C11, D11, E1]
 
 
 def test_noncommutative_product():
@@ -153,5 +168,97 @@ def test_derivation_squared_zero_on_sample():
 
 def test_derivation_missing_image():
     d = Derivation({A12: NCPoly.zero()})
-    with pytest.raises(KeyError):
-        d(NCPoly.gen(B11))
+    with pytest.raises(KeyError, match="no differential image for b11"):
+        d(NCPoly.gen(A12) * NCPoly.gen(B11))
+
+
+def _items(p):
+    """Terms with their key order, which fixes the order of later sums."""
+    return list(p.terms.items())
+
+
+def _matmul_dense(a, b):
+    """Reference: the n^3 loop over every k, zero entries included."""
+    n = a.n
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            s = NCPoly.zero()
+            for k in range(n):
+                s = s + a[i, k] * b[k, j]
+            row.append(s)
+        out.append(row)
+    return NCMatrix(out)
+
+
+def _leibniz_by_products(d, p):
+    """Reference: sum of prefix * d(letter) * suffix over every letter."""
+    out = NCPoly.zero()
+    for w, c in p.terms.items():
+        sign = 1
+        for k, g in enumerate(w):
+            img = d.images[g]
+            if img:
+                out = out + NCPoly({w[:k]: LaurentPoly.const(sign)}) * img \
+                    * NCPoly({w[k + 1:]: c})
+            if g.degree % 2:
+                sign = -sign
+    return out
+
+
+def _random_matrix(rng, n):
+    """Sparse n x n matrix over two letters: zero rows and columns, scalar
+    entries, words of length 0-2 and coefficients that cancel."""
+    letters = [A12, B11]
+    words = [()] + [(x,) for x in letters] \
+        + [(x, y) for x in letters for y in letters]
+    coeffs = [LaurentPoly.const(1), LaurentPoly.const(-1),
+              LaurentPoly.mu(), -LaurentPoly.mu(), LaurentPoly.lam() + 2]
+    zero_row, zero_col = rng.randrange(n + 1), rng.randrange(n + 1)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            terms = {}
+            if i != zero_row and j != zero_col and rng.random() < 0.5:
+                for _ in range(rng.choice((1, 1, 2, 3))):
+                    terms[rng.choice(words)] = rng.choice(coeffs)
+            row.append(NCPoly(terms))
+        rows.append(row)
+    return NCMatrix(rows)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_matrix_product_matches_dense_loop(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(1, 6)
+    a, b = _random_matrix(rng, n), _random_matrix(rng, n)
+    got, want = a * b, _matmul_dense(a, b)
+    for i in range(n):
+        for j in range(n):
+            assert _items(got[i, j]) == _items(want[i, j]), (i, j)
+
+
+def test_matrix_product_keeps_order_through_cancellation():
+    # the k = 1 product (1 + x)(x - 1) cancels its x internally, so the x
+    # from k = 0 keeps its place ahead of y*y
+    x, y = NCPoly.gen(A12), NCPoly.gen(B11)
+    one, zero = NCPoly.scalar(1), NCPoly.zero()
+    a = NCMatrix([[one, one + x], [zero, zero]])
+    b = NCMatrix([[-x + y * y, zero], [x - one, zero]])
+    got = (a * b)[0, 0]
+    assert _items(got) == _items(_matmul_dense(a, b)[0, 0])
+    assert list(got.terms) == [(A12,), (B11, B11), (), (A12, A12)]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in bundled_table()])
+def test_differential_of_images_matches_products(name):
+    d = build_dga(crossing_data(bundled_knot(name))).differential
+    for g, img in d.images.items():
+        assert _items(d.apply(img)) == _items(_leibniz_by_products(d, img)), g
+    # a longer word whose odd letters flip the sign of later terms
+    b, c = (NCPoly.gen(min(g for g in d.images if g.kind == kind))
+            for kind in "bc")
+    word = b * c * b + NCPoly.gen(max(d.images)) * c
+    assert _items(d.apply(word)) == _items(_leibniz_by_products(d, word))
