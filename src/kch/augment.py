@@ -2,14 +2,30 @@
 
 An augmentation is a ring map to Z_p sending l, m to prescribed units; it
 factors through the abelianization, so noncommutative words collapse to
-commutative monomials before solving.  Counting is exact backtracking with
-early relation pruning; a relation is tested as soon as all its variables
-are assigned.
+commutative monomials before solving.
+
+Counting compiles the relations once per prime and then runs an exact
+backtracking search at each of the (p-1)^2 points (l0, m0):
+
+- Every distinct coefficient is evaluated once at all points.  Since l0
+  and m0 are units of F_p, x^(p-1) = 1, so exponents reduce mod p-1 and
+  negative powers need no inverse; a table of powers does the rest.
+- The variable order (most shared first) and the depth at which each
+  relation is checked come from the symbolic relations, so they are the
+  same at every point.  A relation is checked as soon as its last variable
+  is assigned; one with no variable decides "count 0" at its point, and a
+  variable in no relation contributes a factor p.
+- At a search node each checkable relation becomes a polynomial in the
+  node's variable, which filters the candidate values; the search stops at
+  the first empty set, and at the last variable the count is the number of
+  values left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from operator import mul
 
 from .diagram import crossing_data
 from .hc0 import IntractableError, extract_presentation, simplify
@@ -76,67 +92,89 @@ def commutative_relations(pres):
     return variables, [r for r in rels if r]
 
 
-def _count_point(relations, nvars, lam0, mu0, p):
-    """Number of assignments in F_p^nvars killing every relation."""
-    # evaluate coefficients at (lam0, mu0)
-    evaled = []
-    for rel in relations:
-        terms = []
-        for mono, coeff in rel:
-            c = coeff.evaluate_mod(lam0, mu0, p)
-            if c:
-                terms.append((mono, c))
-        if not terms:
-            continue  # relation vanishes identically at this point
-        evaled.append(terms)
+def _compile(relations, nvars, p):
+    """The search plan of the relations over Z_p, built once per prime.
 
-    if not evaled:
-        return p ** nvars
-
-    # order variables by frequency across relations (ties by index)
+    Returns (order, powers, levels).  order lists the variables that occur
+    in some relation, most shared first; the count does not depend on the
+    order.  powers[x][e] is x^e mod p.  levels[d] holds the relations whose
+    last variable in the order is order[d - 1] (levels[0]: no variable),
+    each as (1 + its degree in that variable, terms), a term being (power
+    of order[d - 1], [(earlier variable, power)], the coefficient's values
+    at the points (l0, m0) in (F_p*)^2, l0-major)."""
     freq = [0] * nvars
-    for terms in evaled:
-        seen = set()
-        for mono, _ in terms:
-            seen.update(mono)
-        for v in seen:
+    for rel in relations:
+        for v in {v for mono, _ in rel for v in mono}:
             freq[v] += 1
-    order = sorted(range(nvars), key=lambda v: (-freq[v], v))
-    rank = {v: k for k, v in enumerate(order)}
+    order = sorted((v for v in range(nvars) if freq[v]),
+                   key=lambda v: (-freq[v], v))
+    rank = {v: k + 1 for k, v in enumerate(order)}
+    by_depth = [[] for _ in range(len(order) + 1)]
+    for rel in relations:
+        by_depth[max((rank[v] for mono, _ in rel for v in mono),
+                     default=0)].append(rel)
 
-    # relation becomes checkable once its deepest variable is assigned
-    by_depth = [[] for _ in range(nvars + 1)]
-    for terms in evaled:
-        vs = {v for mono, _ in terms for v in mono}
-        depth = max((rank[v] + 1 for v in vs), default=0)
-        by_depth[depth].append(terms)
+    top = max([p - 2] + [mono.count(v) for rel in relations
+                         for mono, _ in rel for v in mono])
+    powers = [[pow(x, e, p) for e in range(top + 1)] for x in range(p)]
+    columns = list(zip(*powers))
+    tables = {}
 
-    if any(sum(c for _, c in terms) % p for terms in by_depth[0]):
-        return 0
+    def table(coeff):
+        if coeff not in tables:
+            # l0, m0 are units, so x^(p-1) = 1: exponents reduce mod p - 1
+            values = [0] * (p - 1) ** 2
+            for (i, j), c in coeff.terms.items():
+                values = [v + c * a * b for v, (a, b) in zip(values, product(
+                    columns[i % (p - 1)][1:], columns[j % (p - 1)][1:]))]
+            tables[coeff] = [v % p for v in values]
+        return tables[coeff]
 
-    assignment = [0] * nvars
+    levels = []
+    for depth, rels in enumerate(by_depth):
+        var = order[depth - 1] if depth else None
+        levels.append([(1 + max(mono.count(var) for mono, _ in rel),
+                        [(mono.count(var),
+                          [(u, mono.count(u)) for u in sorted(set(mono))
+                           if u != var],
+                          table(coeff)) for mono, coeff in rel])
+                       for rel in rels])
+    return order, powers, levels
 
-    def value(terms):
-        total = 0
-        for mono, c in terms:
-            v = c
-            for var in mono:
-                v = v * assignment[var] % p
-            total = (total + v) % p
-        return total
+
+def _count_at(order, powers, levels, point, p):
+    """Assignments of the ordered variables killing every relation at the
+    point with the given index."""
+    if any(tab[point] for _, rel in levels[0] for _, _, tab in rel):
+        return 0  # a nonzero constant relation
+    last = len(order)
+    assignment = {}
 
     def recurse(depth):
-        if depth == nvars:
-            return 1
-        var = order[depth]
-        count = 0
-        for x in range(p):
+        allowed = range(p)
+        for size, rel in levels[depth]:
+            # the relation as a polynomial in order[depth - 1]; a term whose
+            # coefficient vanishes at the point contributes 0
+            poly = [0] * size
+            for k, others, tab in rel:
+                c = tab[point]
+                if c:
+                    for u, e in others:
+                        c *= powers[assignment[u]][e]
+                    poly[k] += c
+            allowed = [x for x in allowed
+                       if not sum(map(mul, poly, powers[x])) % p]
+            if not allowed:
+                return 0
+        if depth == last:
+            return len(allowed)
+        var, count = order[depth - 1], 0
+        for x in allowed:
             assignment[var] = x
-            if all(value(t) == 0 for t in by_depth[depth + 1]):
-                count += recurse(depth + 1)
+            count += recurse(depth + 1)
         return count
 
-    return recurse(0)
+    return recurse(1) if last else 1
 
 
 def count_augmentations(pres, p, max_prime=DEFAULT_MAX_PRIME,
@@ -151,9 +189,11 @@ def count_augmentations(pres, p, max_prime=DEFAULT_MAX_PRIME,
         raise IntractableError(
             "%d surviving generators exceed the search bound %d"
             % (len(variables), max_generators))
+    order, powers, levels = _compile(relations, len(variables), p)
+    free = p ** (len(variables) - len(order))
     points = [(l0, m0) for l0 in range(1, p) for m0 in range(1, p)]
-    counts = [_count_point(relations, len(variables), l0, m0, p)
-              for l0, m0 in points]
+    counts = [free * _count_at(order, powers, levels, k, p)
+              for k in range(len(points))]
     return AugTable(p=p, counts=tuple(zip(points, counts)))
 
 

@@ -39,6 +39,16 @@ def _parse_prime(text):
     return p
 
 
+def _parse_bound(text):
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("bad bound %r" % text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("%d is negative" % n)
+    return n
+
+
 def _parse_primes(text):
     primes = [_parse_prime(x) for x in text.split(",") if x.strip()]
     if not primes:
@@ -74,9 +84,9 @@ def build_parser():
     p.add_argument("--prime", type=_parse_prime, required=True)
     p.add_argument("--lambda", dest="lam0", type=int, default=None)
     p.add_argument("--mu", dest="mu0", type=int, default=None)
-    p.add_argument("--max-generators", type=int,
+    p.add_argument("--max-generators", type=_parse_bound,
                    default=DEFAULT_MAX_GENERATORS)
-    p.add_argument("--max-prime", type=int, default=DEFAULT_MAX_PRIME)
+    p.add_argument("--max-prime", type=_parse_bound, default=DEFAULT_MAX_PRIME)
 
     p = sub.add_parser("augpoly", help="augmentation polynomial")
     add_pd(p)
@@ -97,7 +107,7 @@ def build_parser():
     p.add_argument("file", nargs="?", default=None,
                    help="knot table path (default: bundled table)")
     p.add_argument("--primes", type=_parse_primes, default=[2, 3, 5, 7])
-    p.add_argument("--max-generators", type=int,
+    p.add_argument("--max-generators", type=_parse_bound,
                    default=DEFAULT_MAX_GENERATORS)
     return ap
 
@@ -155,6 +165,10 @@ def cmd_hc0(args):
 
 
 def cmd_aug(args):
+    for flag, value in (("--lambda", args.lam0), ("--mu", args.mu0)):
+        if value is not None and not 0 < value < args.prime:
+            raise DiagramError("%s %d is not a unit mod %d (use 1..%d)"
+                               % (flag, value, args.prime, args.prime - 1))
     pd = parse_pd(args.pd)
     pres = simplify(extract_presentation(crossing_data(pd)))
     table = count_augmentations(pres, args.prime,

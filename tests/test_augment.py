@@ -1,15 +1,21 @@
 """Tests for augmentation counting over prime fields."""
 
 import itertools
+import random
 
 import pytest
 
 from kch.augment import (AugTable, IntractableError, aug_signature,
                          commutative_relations, count_augmentations,
                          distinguish, first_difference)
-from kch.diagram import crossing_data, mirror
-from kch.hc0 import extract_presentation, simplify
+from kch.diagram import apply_move, available_moves, crossing_data, mirror
+from kch.hc0 import Presentation, extract_presentation, simplify
 from kch.knots import bundled_knot, bundled_table
+from kch.laurent import LaurentPoly
+from kch.ncalg import Generator, NCPoly
+
+L = LaurentPoly.lam
+M = LaurentPoly.mu
 
 
 def _simplified(name):
@@ -44,6 +50,155 @@ def _count_exhaustive(pres, p):
     return AugTable(p=p, counts=tuple(counts))
 
 
+def _count_point(relations, nvars, lam0, mu0, p):
+    """The counting loop before coefficient tables and a static plan: per
+    point, evaluate every coefficient, order the variables and recurse over
+    all p values of each one, testing each relation from scratch."""
+    evaled = []
+    for rel in relations:
+        terms = []
+        for mono, coeff in rel:
+            c = coeff.evaluate_mod(lam0, mu0, p)
+            if c:
+                terms.append((mono, c))
+        if not terms:
+            continue  # relation vanishes identically at this point
+        evaled.append(terms)
+
+    if not evaled:
+        return p ** nvars
+
+    # order variables by frequency across relations (ties by index)
+    freq = [0] * nvars
+    for terms in evaled:
+        seen = set()
+        for mono, _ in terms:
+            seen.update(mono)
+        for v in seen:
+            freq[v] += 1
+    order = sorted(range(nvars), key=lambda v: (-freq[v], v))
+    rank = {v: k for k, v in enumerate(order)}
+
+    # relation becomes checkable once its deepest variable is assigned
+    by_depth = [[] for _ in range(nvars + 1)]
+    for terms in evaled:
+        vs = {v for mono, _ in terms for v in mono}
+        depth = max((rank[v] + 1 for v in vs), default=0)
+        by_depth[depth].append(terms)
+
+    if any(sum(c for _, c in terms) % p for terms in by_depth[0]):
+        return 0
+
+    assignment = [0] * nvars
+
+    def value(terms):
+        total = 0
+        for mono, c in terms:
+            v = c
+            for var in mono:
+                v = v * assignment[var] % p
+            total = (total + v) % p
+        return total
+
+    def recurse(depth):
+        if depth == nvars:
+            return 1
+        var = order[depth]
+        count = 0
+        for x in range(p):
+            assignment[var] = x
+            if all(value(t) == 0 for t in by_depth[depth + 1]):
+                count += recurse(depth + 1)
+        return count
+
+    return recurse(0)
+
+
+def _count_by_points(pres, p):
+    """Reference counter: the per-point loop of _count_point."""
+    variables, relations = commutative_relations(pres)
+    points = [(l0, m0) for l0 in range(1, p) for m0 in range(1, p)]
+    return AugTable(p=p, counts=tuple(
+        (pt, _count_point(relations, len(variables), *pt, p))
+        for pt in points))
+
+
+def _inflated(name, n, seed):
+    """A bundled knot grown to n crossings by seeded R2 moves."""
+    rng = random.Random(seed)
+    pd = bundled_knot(name)
+    while pd.n < n:
+        pd = apply_move(pd, rng.choice(
+            [m for m in available_moves(pd) if m["move"] == "r2_add"]))
+    return pd
+
+
+def _hand_built(nvars, relations):
+    """Presentation on nvars generators whose relations are given
+    commutatively, as {monomial (tuple of generator indices): coefficient}."""
+    gens = [Generator("a", 1, k + 2) for k in range(nvars)]
+    return Presentation(generators=gens, relations=[
+        NCPoly({tuple(gens[v] for v in mono): LaurentPoly.const(c)
+                if isinstance(c, int) else c
+                for mono, c in rel.items()}) for rel in relations])
+
+
+def _assert_counts_agree(pres, p):
+    got = count_augmentations(pres, p)
+    assert got == _count_exhaustive(pres, p), p
+    assert got == _count_by_points(pres, p), p
+    return got.as_dict()
+
+
+# Each case exercises one step of the compiled counter; expected(l0, m0, p)
+# is worked out by hand (or by pow) independently of it.
+EDGE_CASES = {
+    # a relation with no variables decides the count at its point
+    "nonzero constant": (1, [{(): 3}, {(0,): 1}],
+                         lambda l0, m0, p: int(p == 3)),
+    "constant vanishing at m = 1": (1, [{(): M() - 1}],
+                                    lambda l0, m0, p: p if m0 == 1 else 0),
+    # (1 - m) x: every x at m0 = 1, only x = 0 elsewhere
+    "coefficient vanishing at some points": (
+        1, [{(0,): 1 - M()}], lambda l0, m0, p: p if m0 == 1 else 1),
+    # y occurs in no relation: a factor of p
+    "generator in no relation": (2, [{(0,): 1, (): -1}],
+                                 lambda l0, m0, p: p),
+    # exponents beyond p - 1, and negative ones, reduce mod p - 1
+    "large and negative exponents": (
+        0, [{(): L(-7) * M(9) - L(13) * M(-2)}],
+        lambda l0, m0, p: int(pow(l0, -7, p) * pow(m0, 9, p) % p
+                              == pow(l0, 13, p) * pow(m0, -2, p) % p)),
+    # x^5 = l^-6 m^4: x is a fifth root of the unit l0^-6 m0^4
+    "large power of a variable": (
+        1, [{(0, 0, 0, 0, 0): 1, (): -(L(-6) * M(4))}],
+        lambda l0, m0, p: sum(
+            pow(x, 5, p) == pow(l0, -6, p) * pow(m0, 4, p) % p
+            for x in range(p))),
+    # 7 x = 12 - 5 l: coefficients >= p and < 0 reduce mod p
+    "large and negative coefficients": (
+        1, [{(0,): 7, (): L() * 5 - 12}],
+        lambda l0, m0, p: sum((7 * x - 12 + 5 * l0) % p == 0
+                              for x in range(p))),
+    "no variables, no relations": (0, [], lambda l0, m0, p: 1),
+    "no variables, l = m": (0, [{(): L() - M()}],
+                            lambda l0, m0, p: int(l0 == m0)),
+    # x = y and x y z = l: x nonzero, z = l / x^2
+    "three variables": (3, [{(0,): 1, (1,): -1}, {(0, 1, 2): 1, (): -L()}],
+                        lambda l0, m0, p: p - 1),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_CASES))
+def test_kernel_edge_cases(case):
+    nvars, relations, expected = EDGE_CASES[case]
+    pres = _hand_built(nvars, relations)
+    for p in (2, 3, 5, 7):
+        counts = _assert_counts_agree(pres, p)
+        assert counts == {(l0, m0): expected(l0, m0, p)
+                          for l0 in range(1, p) for m0 in range(1, p)}, p
+
+
 def test_unknot_table_p3():
     table = count_augmentations(_simplified("unknot"), 3)
     assert table.as_dict() == {(1, 1): 1, (1, 2): 1, (2, 1): 0, (2, 2): 1}
@@ -65,12 +220,14 @@ def test_full_and_simplified_presentations_agree():
 
 
 def test_pruned_vs_exhaustive_all_knots():
-    for name, _ in bundled_table():
-        pres = _simplified(name)
-        for p in (2, 3):
-            pruned = count_augmentations(pres, p)
-            assert pruned.counts == _count_exhaustive(pres, p).counts, \
-                (name, p)
+    # the bundled knots, then R2 inflations with 3, 2 and 2 generators left
+    pds = [bundled_knot(name) for name, _ in bundled_table()]
+    pds += [_inflated("figure8", 8, 3), _inflated("6_1", 8, 5),
+            _inflated("trefoil_lh", 7, 4)]
+    for pd in pds:
+        pres = simplify(extract_presentation(crossing_data(pd)))
+        for p in (2, 3, 5, 7):
+            _assert_counts_agree(pres, p)
 
 
 def test_bounds_and_validation():

@@ -92,6 +92,33 @@ def test_aug(capsys):
     assert rep["table"] == [{"lambda": 2, "mu": 1, "count": 0}]
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["--prime", "5", "--lambda", "6"], "--lambda 6"),
+    (["--prime", "5", "--lambda", "5"], "--lambda 5"),
+    (["--prime", "3", "--lambda", "0", "--mu", "-1"], "--lambda 0"),
+    (["--prime", "3", "--lambda", "1", "--mu", "-1"], "--mu -1"),
+])
+def test_aug_point_outside_units_exit_2(capsys, argv, bad):
+    # before, such a point printed an empty table with total 0 and exit 0
+    code, out, err = run_cli(capsys, "aug", "--pd", UNKNOT, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("kch: %s is not a unit" % bad)
+
+
+@pytest.mark.parametrize("argv", [
+    ["aug", "--prime", "3", "--pd", UNKNOT, "--max-generators", "-1"],
+    ["aug", "--prime", "3", "--pd", UNKNOT, "--max-prime", "-3"],
+    ["table", "--max-generators", "-1"],
+])
+def test_negative_bound_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "is negative" in captured.err
+
+
 def test_aug_intractable_exit_1(capsys):
     code, out, err = run_cli(capsys, "aug", "--prime", "31", "--pd", UNKNOT)
     assert code == 1
