@@ -4,34 +4,36 @@ An augmentation is a ring map to Z_p sending l, m to prescribed units; it
 factors through the abelianization, so noncommutative words collapse to
 commutative monomials before solving.
 
-Counting compiles the relations once per prime and then runs an exact
-backtracking search at each of the (p-1)^2 points (l0, m0):
+One exact backtracking search over the variables serves all (p-1)^2 points
+(l0, m0) at once.  A vector of residues, one per point, is packed into a
+byte string: point (l0, m0) is byte (l0-1)(p-1) + (m0-1), so l0-major.
 
-- Every distinct coefficient is evaluated once at all points.  Since l0
-  and m0 are units of F_p, x^(p-1) = 1, so exponents reduce mod p-1 and
-  negative powers need no inverse; a table of powers does the rest.
-- The variable order (most shared first) and the depth at which each
-  relation is checked come from the symbolic relations, so they are the
-  same at every point.  A relation is checked as soon as its last variable
-  is assigned; one with no variable decides "count 0" at its point, and a
-  variable in no relation contributes a factor p.
-- At a search node each checkable relation becomes a polynomial in the
-  node's variable, which filters the candidate values; the search stops at
-  the first empty set, and at the last variable the count is the number of
-  values left.
+- l0 and m0 are units, so x^(p-1) = 1 and exponents reduce mod p-1.  Each
+  reduced monomial l^i m^j gets one string of its values; a coefficient
+  is a sum of these, scaled by bytes.translate through a table of c*v mod p.
+- Strings are added as little-endian ints, which adds bytewise while no
+  byte overflows.  After every floor(255/(p-1)) residues the sum is reduced
+  mod p by another translate, so two residues must fit in a byte: p <= 127.
+- A search node carries a mask, one byte 0 or 1 per point, of the points
+  where every relation checked so far vanishes.  A relation is checked as
+  soon as its last variable in the order (most shared first) is assigned:
+  its values translate through a zero table into a mask that is ANDed in,
+  and the node is pruned when the mask is 0.  A relation with no variable
+  sets the root mask, and a variable in no relation is a factor p.
+- Leaf masks are tallied by distinct mask and expanded into per-point
+  counts once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from operator import mul
 
 from .diagram import crossing_data
 from .hc0 import IntractableError, extract_presentation, simplify
 
 DEFAULT_MAX_PRIME = 13
 DEFAULT_MAX_GENERATORS = 16
+MAX_PACKED_PRIME = 127  # 2 * (p - 1) <= 255: two residues fit in a byte
 
 
 @dataclass(frozen=True)
@@ -92,89 +94,97 @@ def commutative_relations(pres):
     return variables, [r for r in rels if r]
 
 
-def _compile(relations, nvars, p):
-    """The search plan of the relations over Z_p, built once per prime.
-
-    Returns (order, powers, levels).  order lists the variables that occur
-    in some relation, most shared first; the count does not depend on the
-    order.  powers[x][e] is x^e mod p.  levels[d] holds the relations whose
-    last variable in the order is order[d - 1] (levels[0]: no variable),
-    each as (1 + its degree in that variable, terms), a term being (power
-    of order[d - 1], [(earlier variable, power)], the coefficient's values
-    at the points (l0, m0) in (F_p*)^2, l0-major)."""
+def _count(relations, nvars, p):
+    """The list of augmentation counts at the points (l0, m0) of (F_p*)^2,
+    l0-major."""
     freq = [0] * nvars
     for rel in relations:
         for v in {v for mono, _ in rel for v in mono}:
             freq[v] += 1
     order = sorted((v for v in range(nvars) if freq[v]),
                    key=lambda v: (-freq[v], v))
-    rank = {v: k + 1 for k, v in enumerate(order)}
+    rank = {v: k for k, v in enumerate(order)}
     by_depth = [[] for _ in range(len(order) + 1)]
     for rel in relations:
-        by_depth[max((rank[v] for mono, _ in rel for v in mono),
+        by_depth[max((rank[v] + 1 for mono, _ in rel for v in mono),
                      default=0)].append(rel)
 
-    top = max([p - 2] + [mono.count(v) for rel in relations
-                         for mono, _ in rel for v in mono])
+    q, npts = p - 1, (p - 1) ** 2
+    cap = 255 // q  # residues below p that one byte can sum
+    fill = 256 // p + 1
+    scale = [(bytes(c * v % p for v in range(p)) * fill)[:256]
+             for c in range(p)]  # scale[1] reduces mod p
+    zero = ((b"\1" + bytes(q)) * fill)[:256]
+    top = max([0] + [mono.count(v) for rel in relations
+                     for mono, _ in rel for v in mono])
     powers = [[pow(x, e, p) for e in range(top + 1)] for x in range(p)]
-    columns = list(zip(*powers))
-    tables = {}
+    units = [[pow(x, e, p) for x in range(1, p)] for e in range(q)]
+    monos = {(i, j): bytes(a * b % p for a in units[i] for b in units[j])
+             for i, j in {(i % q, j % q) for rel in relations
+                          for _, coeff in rel for i, j in coeff.terms}}
+
+    def packed(rows):
+        """The bytewise sum of residue strings, each byte at most cap * q."""
+        acc = n = 0
+        for row in rows:
+            if n == cap:
+                acc, n = int.from_bytes(acc.to_bytes(npts, "little")
+                                        .translate(scale[1]), "little"), 1
+            acc += int.from_bytes(row, "little")
+            n += 1
+        return acc.to_bytes(npts, "little")
 
     def table(coeff):
-        if coeff not in tables:
-            # l0, m0 are units, so x^(p-1) = 1: exponents reduce mod p - 1
-            values = [0] * (p - 1) ** 2
-            for (i, j), c in coeff.terms.items():
-                values = [v + c * a * b for v, (a, b) in zip(values, product(
-                    columns[i % (p - 1)][1:], columns[j % (p - 1)][1:]))]
-            tables[coeff] = [v % p for v in values]
-        return tables[coeff]
+        """The coefficient's residues at every point."""
+        return packed(monos[i % q, j % q].translate(scale[c % p])
+                      for (i, j), c in coeff.terms.items()).translate(scale[1])
 
-    levels = []
-    for depth, rels in enumerate(by_depth):
-        var = order[depth - 1] if depth else None
-        levels.append([(1 + max(mono.count(var) for mono, _ in rel),
-                        [(mono.count(var),
-                          [(u, mono.count(u)) for u in sorted(set(mono))
-                           if u != var],
-                          table(coeff)) for mono, coeff in rel])
-                       for rel in rels])
-    return order, powers, levels
+    def vanish(rows):
+        """The mask of the points where the residue strings sum to 0."""
+        return int.from_bytes(packed(rows).translate(zero), "little")
 
-
-def _count_at(order, powers, levels, point, p):
-    """Assignments of the ordered variables killing every relation at the
-    point with the given index."""
-    if any(tab[point] for _, rel in levels[0] for _, _, tab in rel):
-        return 0  # a nonzero constant relation
-    last = len(order)
-    assignment = {}
-
-    def recurse(depth):
-        allowed = range(p)
-        for size, rel in levels[depth]:
-            # the relation as a polynomial in order[depth - 1]; a term whose
-            # coefficient vanishes at the point contributes 0
-            poly = [0] * size
+    # levels[d] holds the relations whose last variable is order[d - 1]
+    # (levels[0]: no variable), each term as (power of that variable,
+    # [(rank of an earlier variable, its power)], coefficient table)
+    levels = [[[(mono.count(var), [(rank[u], mono.count(u))
+                                   for u in sorted(set(mono)) if u != var],
+                 table(coeff)) for mono, coeff in rel] for rel in rels]
+              for var, rels in zip([None] + order, by_depth)]
+    mask = int.from_bytes(b"\1" * npts, "little")
+    for rel in levels[0]:
+        mask &= vanish(tab for _, _, tab in rel)
+    tally = {}  # leaf mask -> number of leaves
+    stack = [((), mask)] if mask else []
+    while stack:
+        assigned, mask = stack.pop()
+        if len(assigned) == len(order):
+            tally[mask] = tally.get(mask, 0) + 1
+            continue
+        rels = []
+        for rel in levels[len(assigned) + 1]:
+            terms = []
             for k, others, tab in rel:
-                c = tab[point]
-                if c:
-                    for u, e in others:
-                        c *= powers[assignment[u]][e]
-                    poly[k] += c
-            allowed = [x for x in allowed
-                       if not sum(map(mul, poly, powers[x])) % p]
-            if not allowed:
-                return 0
-        if depth == last:
-            return len(allowed)
-        var, count = order[depth - 1], 0
-        for x in allowed:
-            assignment[var] = x
-            count += recurse(depth + 1)
-        return count
-
-    return recurse(1) if last else 1
+                s = 1
+                for r, e in others:
+                    s = s * powers[assigned[r]][e] % p
+                if s:
+                    terms.append((k, s, tab))
+            rels.append(terms)
+        for x, xp in enumerate(powers):
+            m = mask
+            for terms in rels:
+                m &= vanish(tab.translate(scale[c]) for k, s, tab in terms
+                            if (c := s * xp[k] % p))
+                if not m:
+                    break
+            else:
+                stack.append((assigned + (x,), m))
+    free = p ** (nvars - len(order))
+    counts = [0] * npts
+    for mask, n in tally.items():
+        for k, b in enumerate(mask.to_bytes(npts, "little")):
+            counts[k] += b * n * free
+    return counts
 
 
 def count_augmentations(pres, p, max_prime=DEFAULT_MAX_PRIME,
@@ -184,16 +194,17 @@ def count_augmentations(pres, p, max_prime=DEFAULT_MAX_PRIME,
         raise ValueError("%r is not prime" % (p,))
     if p > max_prime:
         raise IntractableError("prime %d exceeds the bound %d" % (p, max_prime))
+    if p > MAX_PACKED_PRIME:
+        raise IntractableError(
+            "count: prime %d exceeds the bound %d of the packed point search"
+            % (p, MAX_PACKED_PRIME))
     variables, relations = commutative_relations(pres)
     if len(variables) > max_generators:
         raise IntractableError(
             "%d surviving generators exceed the search bound %d"
             % (len(variables), max_generators))
-    order, powers, levels = _compile(relations, len(variables), p)
-    free = p ** (len(variables) - len(order))
     points = [(l0, m0) for l0 in range(1, p) for m0 in range(1, p)]
-    counts = [free * _count_at(order, powers, levels, k, p)
-              for k in range(len(points))]
+    counts = _count(relations, len(variables), p)
     return AugTable(p=p, counts=tuple(zip(points, counts)))
 
 

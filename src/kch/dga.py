@@ -115,13 +115,15 @@ def build_dga(cd):
     db = psi_l * a
     dc = a * psi_r
     dd = b * psi_r - psi_l * c
-    de = b * mats["psi_r1"] - mats["psi_l2"] * c
+    # d e_a needs only the diagonal of B.PsiR1 - PsiL2.C
+    de = [x - y for x, y in zip(b.product_diagonal(mats["psi_r1"]),
+                                mats["psi_l2"].product_diagonal(c))]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             images[Generator("b", i, j)] = db[i - 1, j - 1]
             images[Generator("c", i, j)] = dc[i - 1, j - 1]
             images[Generator("d", i, j)] = dd[i - 1, j - 1]
-        images[Generator("e", i)] = de[i - 1, i - 1]
+        images[Generator("e", i)] = de[i - 1]
     return FramedKnotDGA(cd, mats, Derivation(images))
 
 

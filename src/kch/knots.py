@@ -10,18 +10,26 @@ from .diagram import DiagramError, parse_pd
 def parse_table(text):
     """Parse a knot-table file into an ordered list of (name, line) pairs.
 
+    Names must be distinct: the distinguish matrix of `kch table` is keyed
+    by name.
+
     PD parsing is deferred so that one malformed entry does not poison a
     batch run; use load_entry on each pair.
     """
     entries = []
+    seen = {}  # name -> line number
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if ":" not in line:
             raise DiagramError("line %d: expected `name: PDcode`" % lineno)
-        name, code = line.split(":", 1)
-        entries.append((name.strip(), code.strip()))
+        name, code = (part.strip() for part in line.split(":", 1))
+        if name in seen:
+            raise DiagramError("line %d: knot name %r already used on line %d"
+                               % (lineno, name, seen[name]))
+        seen[name] = lineno
+        entries.append((name, code))
     return entries
 
 

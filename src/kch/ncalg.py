@@ -65,6 +65,24 @@ def _mul_into(terms, left, right):
             _accumulate(terms, w1 + w2, c1 * c2)
 
 
+def _dot(row, col):
+    """Sum of row[k] * col's entry k in ascending k, col given as
+    NCMatrix._column gives it."""
+    t = {}
+    for k, right in col:
+        left = row[k].terms
+        if len(left) > 1 and len(right) > 1:
+            # words of this product may coincide: sum it apart first, as
+            # the whole product would be
+            part = {}
+            _mul_into(part, left, right)
+            for w, c in part.items():
+                _accumulate(t, w, c)
+        elif left:
+            _mul_into(t, left, right)
+    return _poly(t)
+
+
 def _poly(terms):
     """NCPoly owning terms, which must hold no zero coefficient."""
     out = NCPoly.__new__(NCPoly)
@@ -249,27 +267,21 @@ class NCMatrix:
         product self[i, k] * other[k, j] in ascending k would give."""
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        cols = [[(k, row[j].terms) for k, row in enumerate(other.entries)
-                 if row[j]] for j in range(other.n)]
-        out = []
-        for row in self.entries:
-            out_row = []
-            for col in cols:
-                t = {}
-                for k, right in col:
-                    left = row[k].terms
-                    if len(left) > 1 and len(right) > 1:
-                        # words of this product may coincide: sum it
-                        # apart first, as the whole product would be
-                        part = {}
-                        _mul_into(part, left, right)
-                        for w, c in part.items():
-                            _accumulate(t, w, c)
-                    elif left:
-                        _mul_into(t, left, right)
-                out_row.append(_poly(t))
-            out.append(out_row)
-        return NCMatrix(out)
+        cols = [other._column(j) for j in range(other.n)]
+        return NCMatrix([[_dot(row, col) for col in cols]
+                         for row in self.entries])
+
+    def product_diagonal(self, other):
+        """The diagonal entries of self * other, without the rest."""
+        if self.n != other.n:
+            raise ValueError("dimension mismatch")
+        return [_dot(row, other._column(i))
+                for i, row in enumerate(self.entries)]
+
+    def _column(self, j):
+        """The nonzero entries of column j as (row index, terms)."""
+        return [(k, row[j].terms) for k, row in enumerate(self.entries)
+                if row[j]]
 
     def __sub__(self, other):
         return NCMatrix([[a - b for a, b in zip(r1, r2)]

@@ -1,5 +1,6 @@
 """Tests for augmentation counting over prime fields."""
 
+import gc
 import itertools
 import random
 
@@ -199,6 +200,21 @@ def test_kernel_edge_cases(case):
                           for l0 in range(1, p) for m0 in range(1, p)}, p
 
 
+def test_chunked_reduction_at_p61():
+    # at p = 61 a byte holds the sum of only 4 residues, so sums of more
+    # terms are reduced mod p on the way
+    cases = [_simplified(name) for name, _ in bundled_table()]
+    cases = [pres for pres in cases if len(pres.generators) <= 1]
+    assert len(cases) >= 4
+    # 3 + 2 x - 5 l x^2 + l m x^3 - 7 m^2 x^4 - x^5 + 11 l^-3 x^6
+    cases.append(_hand_built(1, [{(): 3, (0,): 2, (0, 0): -5 * L(),
+                                  (0,) * 3: L() * M(), (0,) * 4: -7 * M(2),
+                                  (0,) * 5: -1, (0,) * 6: 11 * L(-3)}]))
+    for pres in cases:
+        assert count_augmentations(pres, 61, max_prime=61) \
+            == _count_by_points(pres, 61)
+
+
 def test_unknot_table_p3():
     table = count_augmentations(_simplified("unknot"), 3)
     assert table.as_dict() == {(1, 1): 1, (1, 2): 1, (2, 1): 0, (2, 2): 1}
@@ -241,6 +257,24 @@ def test_bounds_and_validation():
     assert count_augmentations(pres, 17, max_prime=17).p == 17
     with pytest.raises(IntractableError):
         count_augmentations(pres, 2, max_generators=0)
+    # two residues below p must fit in a byte of the packed point search
+    with pytest.raises(IntractableError, match="count: .* the bound 127"):
+        count_augmentations(pres, 131, max_prime=200)
+    assert count_augmentations(pres, 127, max_prime=200).p == 127
+
+
+def test_count_leaves_no_reference_cycles():
+    # the search must not keep its tables alive until the cyclic collector
+    # runs: they are (p-1)^2 bytes per coefficient
+    pres = _simplified("figure8")
+    assert len(pres.generators) == 2
+    gc.collect()
+    gc.disable()
+    try:
+        count_augmentations(pres, 13)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_signature_and_distinguish():

@@ -125,6 +125,15 @@ def test_aug_intractable_exit_1(capsys):
     assert "kch:" in err
 
 
+def test_aug_prime_past_packed_search_exit_1(capsys):
+    # two residues below p must fit in a byte of the packed point search
+    code, out, err = run_cli(capsys, "aug", "--prime", "131", "--max-prime",
+                             "200", "--pd", UNKNOT)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("kch: count: prime 131 exceeds the bound 127")
+
+
 def test_augpoly(capsys):
     code, out, _ = run_cli(capsys, "augpoly", "--pd", UNKNOT)
     rep = json.loads(out)
@@ -196,6 +205,17 @@ def test_table_unreadable_file_exit_2(capsys, tmp_path):
     binary.write_bytes(b"\xff\xfe\x00knot")
     code, out, err = run_cli(capsys, "table", str(binary))
     assert code == 2 and err.startswith("kch: cannot read")
+
+
+def test_table_duplicate_names_exit_2(capsys, tmp_path):
+    # the distinguish matrix is keyed by name: a repeated name made it
+    # compare the last knot of that name with itself
+    f = tmp_path / "knots.txt"
+    f.write_text("k: %s\n# comment\nk: %s\n" % (TREFOIL_LH, TREFOIL_RH))
+    code, out, err = run_cli(capsys, "table", str(f), "--primes", "2,3,5")
+    assert code == 2
+    assert out == ""
+    assert err == "kch: line 3: knot name 'k' already used on line 1\n"
 
 
 def test_table_pairwise_distinction(capsys, tmp_path):

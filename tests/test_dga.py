@@ -1,7 +1,9 @@
 """Tests for the framed knot DGA construction and its self-checks."""
 
+import random
+
 from kch.dga import build_dga, build_matrices, check_d_squared, check_grading
-from kch.diagram import crossing_data, parse_pd
+from kch.diagram import apply_move, available_moves, crossing_data, parse_pd
 from kch.knots import bundled_knot, bundled_table
 from kch.laurent import LaurentPoly
 from kch.ncalg import Generator, NCMatrix, NCPoly
@@ -84,3 +86,28 @@ def test_degenerate_kink_still_consistent():
     dga = build_dga(cd)
     assert check_d_squared(dga)["pass"]
     assert check_grading(dga)["pass"]
+
+
+def _inflated(name, n, seed):
+    """A bundled knot grown to n crossings by seeded R2 moves."""
+    rng = random.Random(seed)
+    pd = bundled_knot(name)
+    while pd.n < n:
+        pd = apply_move(pd, rng.choice(
+            [m for m in available_moves(pd) if m["move"] == "r2_add"]))
+    return pd
+
+
+def test_e_images_match_full_products():
+    # d e_a is read off the diagonal alone; the full products B.PsiR1 and
+    # PsiL2.C must give the same images, terms in the same order
+    pds = [bundled_knot(name) for name, _ in bundled_table()]
+    pds += [_inflated("figure8", 8, 3), _inflated("5_2", 9, 1)]
+    for pd in pds:
+        dga = build_dga(crossing_data(pd))
+        mats = dga.matrices
+        full = mats["B"] * mats["psi_r1"] - mats["psi_l2"] * mats["C"]
+        for i in range(1, dga.n + 1):
+            image = dga.differential.images[Generator("e", i)]
+            assert image == full[i - 1, i - 1], (pd, i)
+            assert list(image.terms) == list(full[i - 1, i - 1].terms)
