@@ -80,17 +80,22 @@ def commutative_relations(pres):
     """Collapse each relation's words to sorted generator tuples.
 
     Returns (variables, relations) where relations are lists of
-    (monomial, LaurentPoly) with monomial a tuple of variable indices.
+    (monomial, LaurentPoly), sorted by monomial, with monomial a tuple of
+    variable indices.  Raises ValueError on a letter that is not a generator.
     """
     variables = sorted(set(pres.generators))
     index = {g: k for k, g in enumerate(variables)}
     rels = []
-    for rel in pres.relations:
-        acc = {}
-        for word, coeff in rel.terms.items():
-            mono = tuple(sorted(index[g] for g in word))
-            acc[mono] = acc[mono] + coeff if mono in acc else coeff
-        rels.append([(m, c) for m, c in sorted(acc.items()) if c])
+    try:
+        for rel in pres.relations:
+            acc = {}
+            for word, coeff in rel.terms.items():
+                mono = tuple(sorted(index[g] for g in word))
+                acc[mono] = acc[mono] + coeff if mono in acc else coeff
+            rels.append([(m, c) for m, c in sorted(acc.items()) if c])
+    except KeyError as exc:
+        raise ValueError("relation letter %s is not a listed generator"
+                         % (exc.args[0],)) from None
     return variables, [r for r in rels if r]
 
 

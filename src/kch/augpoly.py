@@ -10,7 +10,9 @@ rather than guessed at.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
+from .augment import commutative_relations
 from .laurent import (LaurentPoly, UniPoly, divides, render, resultant,
                       unit_normalize)
 
@@ -41,9 +43,8 @@ def laurent_gcd(polys):
     lm = sympy.symbols("l m")
 
     def to_sympy(p):
-        i0, j0 = p.min_exponents()
-        q = p * LaurentPoly.unit(1, -i0, -j0)
-        return sympy.Poly.from_dict(dict(q.terms), *lm, domain="ZZ")
+        return sympy.Poly.from_dict(dict(unit_normalize(p).terms), *lm,
+                                    domain="ZZ")
 
     g = to_sympy(ps[0])
     for p in ps[1:]:
@@ -56,51 +57,33 @@ def laurent_gcd(polys):
                         for mono, c in prim.as_dict().items()})
 
 
-def _single_generator_unipoly(rel, gen):
-    """Commutativized relation as a polynomial in the single generator."""
-    coeffs = {}
-    for word, c in rel.terms.items():
-        if any(g != gen for g in word):
-            raise ValueError("relation involves another generator")
-        k = len(word)
-        coeffs[k] = coeffs[k] + c if k in coeffs else c
-    top = max(coeffs, default=-1)
-    return UniPoly([coeffs.get(k, LaurentPoly.zero()) for k in range(top + 1)])
-
-
 def augmentation_polynomial(pres):
     """Augmentation polynomial of a simplified presentation, unit-normalized."""
     gens = list(pres.generators)
     relations = [r for r in pres.relations if r]
+    rels = commutative_relations(pres)[1]
     warnings = []
     if len(gens) == 0:
-        consts = []
-        for rel in relations:
-            c = rel.terms.get((), LaurentPoly.zero())
-            if len(rel.terms) != 1 or not c:
-                continue
-            consts.append(c)
+        consts = [c for ((_, c),) in rels]
         if not consts:
             return AugPolyResult(None, "direct", False,
                                  ["no nonzero constant relations; the "
                                   "augmentation variety is all of (C*)^2"])
         g = laurent_gcd(consts)
-        if not g or g.as_unit() is not None and g.as_unit()[0] in (1, -1):
+        if not g or g.is_ring_unit():
             return AugPolyResult(None, "direct", False,
                                  ["constant relations have no common "
                                   "codimension-1 zero locus"])
         return AugPolyResult(unit_normalize(g), "direct", True, warnings)
 
     if len(gens) == 1 and len(relations) >= 2:
-        gen = gens[0]
-        unis = [_single_generator_unipoly(rel, gen) for rel in relations]
+        # each monomial is (0,) * k, and the longest comes last
+        unis = [UniPoly([dict(rel).get((0,) * k, LaurentPoly.zero())
+                         for k in range(len(rel[-1][0]) + 1)])
+                for rel in rels]
         if any(u.degree < 1 for u in unis):
             warnings.append("a relation is constant in the generator")
-        ress = []
-        for i in range(len(unis)):
-            for j in range(i + 1, len(unis)):
-                if unis[i] and unis[j]:
-                    ress.append(resultant(unis[i], unis[j]))
+        ress = [resultant(a, b) for a, b in combinations(unis, 2)]
         nonzero = [r for r in ress if r]
         if not nonzero:
             return AugPolyResult(None, "resultant", False,

@@ -201,6 +201,8 @@ def cmd_apoly_check(args):
         apoly = parse_poly(args.apoly)
     except ValueError as exc:
         raise DiagramError("bad A-polynomial: %s" % exc)
+    if not apoly:
+        raise DiagramError("bad A-polynomial: zero polynomial")
     res, _ = _augpoly_report(pd)
     if not res.supported:
         raise ComputationError(

@@ -5,9 +5,17 @@ and meridian).  A Laurent polynomial is stored as a dict mapping exponent
 pairs (i, j) to nonzero integer coefficients; the dict is kept in canonical
 form, so structural equality is equality of values.  Coefficients are
 Python ints, hence arbitrary precision.
+
+Exact division has one kernel, ``_quotient``: it strips both sides to least
+exponents 0, so that l and m divide neither, and divides in Z[l, m] by
+leading terms in (m-degree, l-degree) lex order, which terminates.  A
+monomial divisor takes a fast path.  ``divides`` and the Bareiss step's
+``_exact_quotient`` are thin wrappers around it.
 """
 
 from __future__ import annotations
+
+import re
 
 
 class LaurentPoly:
@@ -110,13 +118,7 @@ class LaurentPoly:
 
     def __pow__(self, k):
         if k < 0:
-            u = self.as_unit()
-            if u is None:
-                raise ValueError("negative power of a non-unit")
-            c, i, j = u
-            if c not in (1, -1):
-                raise ValueError("negative power of a non-unit")
-            return LaurentPoly.unit(c, -i, -j) ** (-k)
+            return self.inverse_unit() ** (-k)
         out = LaurentPoly.const(1)
         for _ in range(k):
             out = out * self
@@ -137,9 +139,10 @@ class LaurentPoly:
         return u is not None and u[0] in (1, -1)
 
     def inverse_unit(self):
+        if not self.is_ring_unit():
+            raise ValueError("not a unit of the Laurent ring: %s"
+                             % render(self))
         c, i, j = self.as_unit()
-        if c not in (1, -1):
-            raise ValueError("not a unit of the Laurent ring")
         return LaurentPoly.unit(c, -i, -j)
 
     def min_exponents(self):
@@ -191,9 +194,6 @@ class LaurentPoly:
 
 
 ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.const(1)
-LAM = LaurentPoly.lam()
-MU = LaurentPoly.mu()
 
 
 def _render_monomial(i, j):
@@ -229,75 +229,43 @@ def render(p):
     return "".join(out)
 
 
-def parse_poly(text):
-    """Parse the rendering grammar back into a LaurentPoly.
+# render()'s language: terms joined by + or -, the first optionally negated;
+# a term is a *-product of factors: ASCII digits, l, l^e, m or m^e
+_FACTOR = r"[0-9]+|[lm](?:\^-?[0-9]+)?"
+_TERM = r"(?:%s)(?:\s*\*\s*(?:%s))*" % (_FACTOR, _FACTOR)
+_POLY_RE = re.compile(r"\s*-?\s*%s(?:\s*[-+]\s*%s)*\s*" % (_TERM, _TERM),
+                      re.ASCII)
+_TERM_RE = re.compile(r"([-+]?)\s*(%s)" % _TERM, re.ASCII)
+_FACTOR_RE = re.compile(r"([0-9]+)|([lm])(?:\^(-?[0-9]+))?", re.ASCII)
 
-    Accepts sums of terms ``c*l^i*m^j`` with optional pieces, e.g.
-    ``-1 + l - m^3 + l*m^-1`` or ``(l-1)`` style input is *not* supported:
-    the grammar is flat, matching render() output.
+
+def parse_poly(text):
+    """Parse render()'s language back into a LaurentPoly.
+
+    E.g. ``-1 + l - m^3 + 2*l*m^-1``; the grammar is flat, so ``(l-1)`` is
+    rejected.  Raises ValueError on anything outside the language.
     """
-    s = text.strip()
-    if not s:
-        raise ValueError("empty polynomial")
-    if s == "0":
-        return LaurentPoly.zero()
-    # split into signed terms
-    terms = []
-    buf = ""
-    sign = 1
-    first = True
-    k = 0
-    while k < len(s):
-        ch = s[k]
-        if ch in "+-" and (first or buf.strip()):
-            # '-' inside an exponent like m^-1 is preceded by '^'
-            prev = buf.rstrip()[-1:] if buf.strip() else ""
-            if prev == "^" or (first and not buf.strip() and ch == "-"):
-                if first and not buf.strip():
-                    sign = -1
-                    first = False
-                    k += 1
-                    continue
-                buf += ch
-                k += 1
-                continue
-            terms.append((sign, buf))
-            buf = ""
-            sign = 1 if ch == "+" else -1
-            k += 1
-            continue
-        first = False
-        buf += ch
-        k += 1
-    terms.append((sign, buf))
-    result = LaurentPoly.zero()
-    for sgn, t in terms:
-        t = t.strip()
-        if not t:
-            raise ValueError("malformed polynomial: %r" % text)
-        coeff = sgn
-        li = mj = 0
-        for factor in t.split("*"):
-            f = factor.strip()
-            if not f:
-                raise ValueError("malformed term: %r" % t)
-            if f[0] in "lm":
-                var = f[0]
-                rest = f[1:]
-                if rest == "":
-                    e = 1
-                elif rest.startswith("^"):
-                    e = int(rest[1:])
-                else:
-                    raise ValueError("malformed factor: %r" % f)
-                if var == "l":
-                    li += e
-                else:
-                    mj += e
+    if not _POLY_RE.fullmatch(text):
+        raise ValueError("malformed polynomial: %r" % text)
+    t = {}
+    for sign, term in _TERM_RE.findall(text):
+        c, i, j = -1 if sign == "-" else 1, 0, 0
+        for digits, var, exp in _FACTOR_RE.findall(term):
+            if digits:
+                c *= int(digits)
+            elif var == "l":
+                i += int(exp or 1)
             else:
-                coeff *= int(f)
-        result = result + LaurentPoly.unit(coeff, li, mj)
-    return result
+                j += int(exp or 1)
+        t[(i, j)] = t.get((i, j), 0) + c
+    return LaurentPoly(t)
+
+
+def _strip(p):
+    """(i0, j0, q) with p = l^i0 * m^j0 * q and q of least exponents 0."""
+    i0, j0 = p.min_exponents()
+    return i0, j0, LaurentPoly({(i - i0, j - j0): c
+                                for (i, j), c in p.terms.items()})
 
 
 def unit_normalize(p):
@@ -305,43 +273,59 @@ def unit_normalize(p):
     positive coefficient on the lexicographically smallest monomial."""
     if not p:
         raise ValueError("cannot normalize the zero polynomial")
-    i0, j0 = p.min_exponents()
-    q = p * LaurentPoly.unit(1, -i0, -j0)
-    lead = min(q.terms)
-    if q.terms[lead] < 0:
+    q = _strip(p)[2]
+    if q.terms[min(q.terms)] < 0:
         q = -q
     return q
 
 
-def divides(d, p):
-    """True iff p = d*q for some q in the Laurent ring.
+def _m_first(e):
+    """Key of the (m-degree, l-degree) lex order."""
+    return e[1], e[0]
 
-    Both sides are stripped to honest polynomials with min exponents 0;
-    since l and m do not divide the stripped divisor, Laurent divisibility
-    reduces to exact division in Z[l, m], decided by leading-term division
-    in (m-degree, l-degree) lex order.
-    """
+
+def _quotient(p, d):
+    """q with p = d*q in the Laurent ring, or None if d does not divide p."""
     if not d:
         raise ValueError("zero divisor")
     if not p:
-        return True
-    i0, j0 = d.min_exponents()
-    d = d * LaurentPoly.unit(1, -i0, -j0)
-    i0, j0 = p.min_exponents()
-    p = p * LaurentPoly.unit(1, -i0, -j0)
+        return LaurentPoly.zero()
+    u = d.as_unit()
+    if u is not None:
+        c, i, j = u
+        if any(pc % c for pc in p.terms.values()):
+            return None
+        return LaurentPoly({(pi - i, pj - j): pc // c
+                            for (pi, pj), pc in p.terms.items()})
+    # p = l^pi0 m^pj0 p', d = l^di0 m^dj0 d'; l and m divide neither p' nor
+    # d', so d | p iff d' | p' in Z[l, m], and then q = l^si m^sj (p' / d')
+    pi0, pj0, p = _strip(p)
+    di0, dj0, d = _strip(d)
+    si, sj = pi0 - di0, pj0 - dj0
+    di, dj = e = max(d.terms, key=_m_first)
+    dc = d.terms[e]
+    r = dict(p.terms)
+    q = {}
+    while r:
+        pi, pj = e = max(r, key=_m_first)
+        c, rem = divmod(r[e], dc)
+        if pi < di or pj < dj or rem:
+            return None
+        a, b = pi - di, pj - dj
+        q[(a + si, b + sj)] = c
+        for (i, j), k in d.terms.items():
+            f = (i + a, j + b)
+            s = r.get(f, 0) - c * k
+            if s:
+                r[f] = s
+            else:
+                del r[f]
+    return LaurentPoly(q)
 
-    def lead(poly):
-        e = max(poly.terms, key=lambda ij: (ij[1], ij[0]))
-        return e, poly.terms[e]
 
-    (di, dj), dc = lead(d)
-    while p:
-        (pi, pj), pc = lead(p)
-        if pi < di or pj < dj or pc % dc:
-            return False
-        q = LaurentPoly.unit(pc // dc, pi - di, pj - dj)
-        p = p - d * q
-    return True
+def divides(d, p):
+    """True iff p = d*q for some q in the Laurent ring."""
+    return _quotient(p, d) is not None
 
 
 class UniPoly:
@@ -423,31 +407,9 @@ def det_bareiss(matrix):
 
 def _exact_quotient(p, d):
     """p / d, valid only when d divides p (Bareiss guarantees this)."""
-    if not p:
-        return LaurentPoly.zero()
-    u = d.as_unit()
-    if u is not None:
-        c, i, j = u
-        t = {}
-        for (pi, pj), pc in p.terms.items():
-            if pc % c:
-                raise ArithmeticError("inexact division")
-            t[(pi - i, pj - j)] = pc // c
-        return LaurentPoly(t)
-    # long division in (m-degree, l-degree) lex order
-    def lead(poly):
-        e = max(poly.terms, key=lambda ij: (ij[1], ij[0]))
-        return e, poly.terms[e]
-
-    (di, dj), dc = lead(d)
-    q = LaurentPoly.zero()
-    while p:
-        (pi, pj), pc = lead(p)
-        if pc % dc:
-            raise ArithmeticError("inexact division")
-        t = LaurentPoly.unit(pc // dc, pi - di, pj - dj)
-        q = q + t
-        p = p - d * t
+    q = _quotient(p, d)
+    if q is None:
+        raise ArithmeticError("inexact division")
     return q
 
 

@@ -9,6 +9,7 @@ import pytest
 from kch.augment import (AugTable, IntractableError, aug_signature,
                          commutative_relations, count_augmentations,
                          distinguish, first_difference)
+from kch.augpoly import augmentation_polynomial
 from kch.diagram import apply_move, available_moves, crossing_data, mirror
 from kch.hc0 import Presentation, extract_presentation, simplify
 from kch.knots import bundled_knot, bundled_table
@@ -261,6 +262,25 @@ def test_bounds_and_validation():
     with pytest.raises(IntractableError, match="count: .* the bound 127"):
         count_augmentations(pres, 131, max_prime=200)
     assert count_augmentations(pres, 127, max_prime=200).p == 127
+
+
+def test_unlisted_relation_letter_is_a_value_error():
+    # the shape of hc0's unlisted-generator test: a21 occurs in relations
+    # but is not a generator
+    a21, a31 = Generator("a", 2, 1), Generator("a", 3, 1)
+    pres = Presentation(
+        generators=[a31],
+        relations=[NCPoly.gen(a31, M()) - NCPoly.gen(a21) * NCPoly.gen(a31),
+                   NCPoly.gen(a21, L()) - NCPoly.scalar(1)])
+    with pytest.raises(ValueError, match="letter a21 "):
+        commutative_relations(pres)
+    with pytest.raises(ValueError, match="letter a21 "):
+        count_augmentations(pres, 3)
+    with pytest.raises(ValueError, match="letter a21 "):
+        augmentation_polynomial(pres)
+    with pytest.raises(ValueError, match="letter a21 "):
+        augmentation_polynomial(Presentation(generators=[],
+                                             relations=pres.relations[1:]))
 
 
 def test_count_leaves_no_reference_cycles():

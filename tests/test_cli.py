@@ -147,9 +147,11 @@ def test_apoly_check(capsys):
                            "--pd", TREFOIL_RH)
     assert code == 0
     assert json.loads(out)["divides"] is True
-    code, _, _ = run_cli(capsys, "apoly-check", "--apoly", "nonsense",
-                         "--pd", TREFOIL_RH)
-    assert code == 2
+    for bad in ("nonsense", "0", "l-l"):  # zero has no divisibility answer
+        code, out, err = run_cli(capsys, "apoly-check", "--apoly", bad,
+                                 "--pd", TREFOIL_RH)
+        assert code == 2 and out == ""
+        assert err.startswith("kch: bad A-polynomial: ")
 
 
 def test_apoly_check_unsupported_exit_1(capsys):

@@ -4,9 +4,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kch.laurent import (LaurentPoly, UniPoly, divides, parse_poly, render,
-                         resultant, sylvester_matrix, unit_normalize)
+from kch.laurent import (LaurentPoly, UniPoly, _exact_quotient, divides,
+                         parse_poly, render, resultant, sylvester_matrix,
+                         unit_normalize)
 
 L = LaurentPoly.lam
 M = LaurentPoly.mu
@@ -55,6 +58,9 @@ def test_pow_and_units():
     assert u * u.inverse_unit() == C(1)
     with pytest.raises(ValueError):
         (1 + M()) ** -1
+    for non_unit in (1 + L(), C(2) * M(), LaurentPoly.zero()):
+        with pytest.raises(ValueError):
+            non_unit.inverse_unit()
 
 
 def test_evaluate_mod():
@@ -81,18 +87,52 @@ def test_render_examples():
     assert render(-L()) == "-l"
 
 
-def test_parse_render_round_trip_random():
-    rng = random.Random(1)
-    for _ in range(100):
-        p = LaurentPoly({(rng.randint(-3, 3), rng.randint(-3, 3)):
-                         rng.randint(-9, 9) for _ in range(rng.randint(0, 5))})
-        assert parse_poly(render(p)) == p
+_polys = st.dictionaries(
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    st.integers(-10 ** 6, 10 ** 6), max_size=6).map(LaurentPoly)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_polys)
+def test_parse_render_round_trip_random(p):
+    assert parse_poly(render(p)) == p
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "l +", "x^2", "l^", "(l-1)", "1 ++ 2"]:
+    for bad in ["", "l +", "x^2", "l^", "(l-1)", "1 ++ 2", "-", "1 +",
+                "* l", "l *", " ", "2l", "l2", "1 2", "lm", "L",
+                # one sign per term
+                "--1", "- -1", "1 - -l", "1 + +l", "+1", "3 * -l",
+                # ASCII digits only, and an exponent is -?digits
+                "1_0", "\u0661", "l^\u0661", "l^+1", "l^ 2", "l ^ 2",
+                "l^--1", "l^1.5", "m^-"]:
         with pytest.raises(ValueError):
             parse_poly(bad)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("0", LaurentPoly.zero()),
+    ("-0", LaurentPoly.zero()),
+    ("l - l", LaurentPoly.zero()),
+    ("-1 + l - m^3 + l*m^-1", -1 + L() - M(3) + L() * M(-1)),
+    ("-1-m", -1 - M()),
+    ("  2 * l\t+\nm  ", C(2) * L() + M()),
+    ("l*l*3*2", C(6) * L(2)),
+    ("m^-0", C(1)),
+    ("007*l^-02", C(7) * L(-2)),
+])
+def test_parse_accepts(text, expected):
+    assert parse_poly(text) == expected
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.text(alphabet="0123456789lmL^*+- \t\n_x().\u00b2\u0661",
+               max_size=20))
+def test_parse_only_raises_value_error(text):
+    try:
+        assert isinstance(parse_poly(text), LaurentPoly)
+    except ValueError:
+        pass
 
 
 def test_unit_normalize():
@@ -119,20 +159,21 @@ def test_divides_basic():
         divides(LaurentPoly.zero(), a)
 
 
-def test_divides_random_products():
-    rng = random.Random(2)
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_polys.filter(bool), _polys)
+def test_divides_random_products(d, q):
+    assert divides(d, d * q)
+    assert _exact_quotient(d * q, d) == q
 
-    def rand_poly():
-        while True:
-            p = LaurentPoly({(rng.randint(-2, 2), rng.randint(-2, 2)):
-                             rng.randint(-3, 3)
-                             for _ in range(rng.randint(1, 4))})
-            if p:
-                return p
 
-    for _ in range(100):
-        d, q = rand_poly(), rand_poly()
-        assert divides(d, d * q)
+def test_exact_quotient_raises_on_non_divisor():
+    # long division of 1 by 1 + l in Laurent exponents never ends; the
+    # stripped division in Z[l, m] stops at once
+    with pytest.raises(ArithmeticError):
+        _exact_quotient(C(1), 1 + L())
+    with pytest.raises(ArithmeticError):
+        _exact_quotient(1 + L(), C(2) * L(-1))
+    assert not divides(1 + L(), C(1))
 
 
 def test_unipoly_normalizes_leading_zeros():
