@@ -27,6 +27,7 @@ byte string: point (l0, m0) is byte (l0-1)(p-1) + (m0-1), so l0-major.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import crossing_data
 from .hc0 import IntractableError, extract_presentation, simplify
@@ -192,9 +193,27 @@ def _count(relations, nvars, p):
     return counts
 
 
-def count_augmentations(pres, p, max_prime=DEFAULT_MAX_PRIME,
-                        max_generators=DEFAULT_MAX_GENERATORS):
-    """AugTable of the presentation over Z_p, all (lam0, mu0) in (F_p*)^2."""
+class _Collapsed(NamedTuple):
+    """A presentation collapsed by commutative_relations and checked
+    against the generator bound; count_augmentations takes it in place of
+    the Presentation, so presentation_signature collapses only once."""
+
+    generators: list  # the sorted variables
+    relations: list
+
+
+def _collapse(pres, max_generators):
+    if isinstance(pres, _Collapsed):
+        return pres
+    variables, relations = commutative_relations(pres)
+    if len(variables) > max_generators:
+        raise IntractableError(
+            "%d surviving generators exceed the search bound %d"
+            % (len(variables), max_generators))
+    return _Collapsed(variables, relations)
+
+
+def _check_prime(p, max_prime):
     if not _is_prime(p):
         raise ValueError("%r is not prime" % (p,))
     if p > max_prime:
@@ -203,24 +222,32 @@ def count_augmentations(pres, p, max_prime=DEFAULT_MAX_PRIME,
         raise IntractableError(
             "count: prime %d exceeds the bound %d of the packed point search"
             % (p, MAX_PACKED_PRIME))
-    variables, relations = commutative_relations(pres)
-    if len(variables) > max_generators:
-        raise IntractableError(
-            "%d surviving generators exceed the search bound %d"
-            % (len(variables), max_generators))
+
+
+def count_augmentations(pres, p, max_prime=DEFAULT_MAX_PRIME,
+                        max_generators=DEFAULT_MAX_GENERATORS):
+    """AugTable of the presentation over Z_p, all (lam0, mu0) in (F_p*)^2."""
+    _check_prime(p, max_prime)
+    flat = _collapse(pres, max_generators)
     points = [(l0, m0) for l0 in range(1, p) for m0 in range(1, p)]
-    counts = _count(relations, len(variables), p)
+    counts = _count(flat.relations, len(flat.generators), p)
     return AugTable(p=p, counts=tuple(zip(points, counts)))
 
 
 def presentation_signature(pres, primes, max_prime=DEFAULT_MAX_PRIME,
                            max_generators=DEFAULT_MAX_GENERATORS):
-    """Per-prime tables of an already simplified presentation."""
+    """Per-prime tables of an already simplified presentation.  The
+    presentation is collapsed and checked against max_generators once,
+    after the first prime is checked, as the first count would do."""
+    primes = tuple(primes)
+    if primes:
+        _check_prime(primes[0], max_prime)
+        pres = _collapse(pres, max_generators)
     tables = tuple(
         count_augmentations(pres, p, max_prime=max_prime,
                             max_generators=max_generators)
         for p in primes)
-    return Signature(primes=tuple(primes), tables=tables)
+    return Signature(primes=primes, tables=tables)
 
 
 def aug_signature(pd, primes, max_prime=DEFAULT_MAX_PRIME,

@@ -33,28 +33,37 @@ class AugPolyResult:
         }
 
 
-def laurent_gcd(polys):
-    """Gcd in Z[l, m] of nonzero Laurent polynomials, up to units."""
+def _sympy_gcd(a, b):
+    """Gcd in Z[l, m] of two polynomials of least exponents 0, a
+    primitive, so the gcd is primitive too."""
     import sympy  # the only use of sympy; kept out of the import of kch
 
+    lm = sympy.symbols("l m")
+    g = sympy.gcd(sympy.Poly.from_dict(dict(a.terms), *lm, domain="ZZ"),
+                  sympy.Poly.from_dict(dict(b.terms), *lm, domain="ZZ"))
+    return LaurentPoly({tuple(int(x) for x in mono): int(c)
+                        for mono, c in g.as_dict().items()})
+
+
+def laurent_gcd(polys):
+    """Gcd in Z[l, m] of nonzero Laurent polynomials, up to units; it is
+    primitive (integer content 1), and zero for no nonzero input.
+
+    The running gcd g starts as the primitive part of the first input and
+    stays primitive.  For each next input p it calls sympy only when g
+    does not divide p: a primitive g that divides p over Q divides it
+    over Z too (Gauss's lemma), so the gcd is still g.  sympy is imported
+    only when such a step is needed."""
     ps = [p for p in polys if p]
     if not ps:
         return LaurentPoly.zero()
-    lm = sympy.symbols("l m")
-
-    def to_sympy(p):
-        return sympy.Poly.from_dict(dict(unit_normalize(p).terms), *lm,
-                                    domain="ZZ")
-
-    g = to_sympy(ps[0])
+    first = unit_normalize(ps[0])
+    k = first.integer_content()
+    g = LaurentPoly({e: c // k for e, c in first.terms.items()})
     for p in ps[1:]:
-        g = sympy.gcd(g, to_sympy(p))
-        g = sympy.Poly(g, *lm, domain="QQ")
-    g = sympy.Poly(g, *lm, domain="QQ")
-    _, prim = g.clear_denoms()
-    prim = sympy.Poly(prim, *lm, domain="ZZ").primitive()[1]
-    return LaurentPoly({tuple(int(x) for x in mono): int(c)
-                        for mono, c in prim.as_dict().items()})
+        if not divides(g, p):
+            g = _sympy_gcd(g, unit_normalize(p))
+    return g
 
 
 def augmentation_polynomial(pres):

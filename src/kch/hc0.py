@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dga import build_matrices
-from .ncalg import NCPoly, nc_unit_normalize
+from .ncalg import NCPoly, _word_key
 
 
 @dataclass
@@ -63,18 +63,34 @@ def _offer(rel, alive):
     return None
 
 
+def _unit_key(rel):
+    """Hashable form of nc_unit_normalize(rel): a frozenset of (word,
+    frozenset of ((i, j), c)) pairs.  Two keys are equal exactly when the
+    two normal forms are, and a frozenset keeps its hash once computed."""
+    terms = rel.terms
+    i0 = min(i for coeff in terms.values() for i, _ in coeff.terms)
+    j0 = min(j for coeff in terms.values() for _, j in coeff.terms)
+    lead = terms[min(terms, key=_word_key)].terms
+    s = -1 if lead[min(lead)] < 0 else 1
+    return frozenset(
+        (w, frozenset(((i - i0, j - j0), s * c)
+                      for (i, j), c in coeff.terms.items()))
+        for w, coeff in terms.items())
+
+
 def _settle(cache, holder, rels, alive):
-    """Cache (relation, unit-normal key, offer, generators) for each
-    (position, relation) of rels, taken in ascending position, and keep
-    one relation per key, the one at the smallest position.  holder maps
-    each key to the position of its cached relation; no relation of rels
-    may hold a key yet.  Zero relations are dropped.  Returns the number
-    of terms in the relations dropped as duplicates."""
+    """Cache (relation, _unit_key, offer, generators) for each (position,
+    relation) of rels, taken in ascending position, and keep one relation
+    per key, the one at the smallest position, so a relation that is a
+    unit multiple of another is dropped.  holder maps each key to the
+    position of its cached relation; no relation of rels may hold a key
+    yet.  Zero relations are dropped.  Returns the number of terms in the
+    relations dropped as duplicates."""
     dropped = 0
     for p, rel in rels:
         if not rel:
             continue
-        key = nc_unit_normalize(rel)
+        key = _unit_key(rel)
         q = holder.get(key)
         if q is not None:
             if q < p:
@@ -116,8 +132,9 @@ def simplify(pres):
     relations nonlinear and blocks later steps.
 
     The loop codes letters as ints in Generator order and caches each
-    relation's unit-normal key, offer and generator set; after a step it
-    recomputes these only for the relations that contained g.  Raises
+    relation's unit-normal key (a hashable frozenset from _unit_key, not
+    an NCPoly), offer and generator set; after a step it recomputes these
+    only for the relations that contained g.  Raises
     IntractableError once the relations hold more than MAX_RELATION_TERMS
     terms."""
     letters = sorted(set(pres.generators).union(

@@ -3,12 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kch.augment
 import kch.hc0
 from kch.diagram import apply_move, available_moves, crossing_data
 from kch.hc0 import (MAX_REPLACEMENT_WORD, IntractableError, Presentation,
-                     extract_presentation, replay_log, simplify)
+                     _unit_key, extract_presentation, replay_log, simplify)
 from kch.knots import bundled_knot, bundled_table
 from kch.laurent import LaurentPoly
 from kch.ncalg import Generator, NCPoly, nc_unit_normalize
@@ -212,3 +214,46 @@ def test_simplify_never_eliminates_unlisted_generators():
     assert all(a21 in r.generators() for r in out.relations)
     assert len(out.relations) == 2
     _assert_same_as_reference(pres)
+
+
+# relations as simplify sees them: int letters, small Laurent coefficients
+_coeffs = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.integers(-3, 3).filter(bool), min_size=1, max_size=3).map(LaurentPoly)
+_relations = st.dictionaries(
+    st.lists(st.integers(0, 3), max_size=3).map(tuple), _coeffs,
+    min_size=1, max_size=4).map(NCPoly)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(r1=_relations, other=_relations,
+       kind=st.sampled_from(["unit", "double", "perturbed", "one_term",
+                             "other"]),
+       sign=st.sampled_from([1, -1]), a=st.integers(-3, 3),
+       b=st.integers(-3, 3))
+def test_unit_key_agrees_with_nc_unit_normalize(r1, other, kind, sign, a, b):
+    unit = LaurentPoly.unit(sign, a, b)
+    if kind == "unit":
+        r2 = r1 * unit
+    elif kind == "double":
+        r2 = r1 * (2 * unit)
+    elif kind == "perturbed":
+        # the same words, one coefficient moved by a unit (it may cancel)
+        w = min(r1.terms)
+        r2 = NCPoly({**r1.terms, w: r1.terms[w] + unit}) * unit
+    elif kind == "one_term":
+        # the same words, only one coefficient scaled by the unit
+        w = min(r1.terms)
+        r2 = NCPoly({**r1.terms, w: r1.terms[w] * unit})
+    else:
+        r2 = other
+    if not r2:
+        return
+    same = nc_unit_normalize(r1) == nc_unit_normalize(r2)
+    assert (_unit_key(r1) == _unit_key(r2)) == same
+    if kind == "unit":
+        assert same
+    if kind == "double":
+        assert not same
+    if same:
+        assert hash(_unit_key(r1)) == hash(_unit_key(r2))
