@@ -53,6 +53,9 @@ def _parse_primes(text):
     primes = [_parse_prime(x) for x in text.split(",") if x.strip()]
     if not primes:
         raise argparse.ArgumentTypeError("empty prime list")
+    for k, p in enumerate(primes):
+        if p in primes[:k]:
+            raise argparse.ArgumentTypeError("prime %d is repeated" % p)
     return primes
 
 

@@ -6,6 +6,15 @@ pairs (i, j) to nonzero integer coefficients; the dict is kept in canonical
 form, so structural equality is equality of values.  Coefficients are
 Python ints, hence arbitrary precision.
 
+Values are immutable: every operation builds a new ``LaurentPoly`` and no
+code writes to ``.terms`` after construction, so one value may be shared
+by many containers.  ``LaurentPoly.const(1)`` and ``const(-1)`` return the
+shared module constants ``ONE`` and ``MINUS_ONE``, and negation maps each
+to the other; ``ncalg`` skips the Laurent product and negation when a
+coefficient ``is`` one of them, and cancels ONE against MINUS_ONE.  The
+shortcuts test identity, so an unshared 1 (``LaurentPoly({(0, 0): 1})``)
+is just as correct, only slower.
+
 Exact division has one kernel, ``_quotient``: it strips both sides to least
 exponents 0, so that l and m divide neither, and divides in Z[l, m] by
 leading terms in (m-degree, l-degree) lex order, which terminates.  A
@@ -19,7 +28,10 @@ import re
 
 
 class LaurentPoly:
-    """Element of Z[l^±1, m^±1], canonical sparse form."""
+    """Element of Z[l^±1, m^±1], canonical sparse form.
+
+    Immutable: never write to ``.terms``, which may be shared (``ONE`` and
+    ``MINUS_ONE`` are the values of ``const(1)`` and ``const(-1)``)."""
 
     __slots__ = ("terms",)
 
@@ -39,6 +51,11 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c):
+        """The constant c; the shared ONE or MINUS_ONE for c = 1 or -1."""
+        if c == 1:
+            return ONE
+        if c == -1:
+            return MINUS_ONE
         return cls({(0, 0): c})
 
     @classmethod
@@ -70,6 +87,10 @@ class LaurentPoly:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
+        if self is ONE:
+            return MINUS_ONE
+        if self is MINUS_ONE:
+            return ONE
         return LaurentPoly({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
@@ -194,6 +215,8 @@ class LaurentPoly:
 
 
 ZERO = LaurentPoly.zero()
+ONE = LaurentPoly({(0, 0): 1})
+MINUS_ONE = LaurentPoly({(0, 0): -1})
 
 
 def _render_monomial(i, j):

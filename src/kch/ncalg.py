@@ -4,13 +4,22 @@ Elements are Z[l^±1,m^±1]-linear combinations of words in graded
 generators.  Coefficients are central; words multiply by concatenation.
 Derivations are stored on generators only and extended to words by the
 graded Leibniz rule  d(uv) = d(u)v + (-1)^{deg u} u d(v).
+
+Most coefficients of the framed DGA are the shared constants ``ONE`` and
+``MINUS_ONE`` of ``laurent`` (``NCPoly.gen`` and ``NCPoly.scalar`` use
+them).  Three kernels skip the Laurent call when a factor ``is`` one of
+them: ``_mul_into`` (every NCPoly and NCMatrix product) takes the other
+factor or its negation, ``Derivation.apply`` does the same for the
+Leibniz rule's image coefficient times sign, and ``_accumulate`` deletes
+a term where ONE meets MINUS_ONE.  The tests are by identity, so an
+unshared 1 takes the generic path and gives the same result.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .laurent import LaurentPoly, render
+from .laurent import MINUS_ONE, ONE, LaurentPoly, render
 
 _DEGREE = {"a": 0, "b": 1, "c": 1, "d": 2, "e": 2}
 
@@ -50,7 +59,13 @@ def _word_key(word):
 
 def _accumulate(terms, word, c):
     s = terms.get(word)
-    s = c if s is None else s + c
+    if s is None:
+        s = c
+    elif s is ONE and c is MINUS_ONE or s is MINUS_ONE and c is ONE:
+        del terms[word]
+        return
+    else:
+        s = s + c
     if s:
         terms[word] = s
     elif word in terms:
@@ -59,10 +74,19 @@ def _accumulate(terms, word, c):
 
 def _mul_into(terms, left, right):
     """Accumulate the products of the words and coefficients of two term
-    dicts into terms."""
+    dicts into terms; a factor ONE or MINUS_ONE makes no Laurent product."""
     for w1, c1 in left.items():
-        for w2, c2 in right.items():
-            _accumulate(terms, w1 + w2, c1 * c2)
+        if c1 is ONE:
+            for w2, c2 in right.items():
+                _accumulate(terms, w1 + w2, c2)
+        elif c1 is MINUS_ONE:
+            for w2, c2 in right.items():
+                _accumulate(terms, w1 + w2, MINUS_ONE if c2 is ONE else
+                            ONE if c2 is MINUS_ONE else -c2)
+        else:
+            for w2, c2 in right.items():
+                _accumulate(terms, w1 + w2, c1 if c2 is ONE else
+                            -c1 if c2 is MINUS_ONE else c1 * c2)
 
 
 def _dot(row, col):
@@ -115,7 +139,7 @@ class NCPoly:
 
     @classmethod
     def gen(cls, g, coeff=None):
-        return cls({(g,): coeff if coeff is not None else LaurentPoly.const(1)})
+        return cls({(g,): coeff if coeff is not None else ONE})
 
     def __bool__(self):
         return bool(self.terms)
@@ -127,7 +151,7 @@ class NCPoly:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
-        return NCPoly({w: -c for w, c in self.terms.items()})
+        return _poly({w: -c for w, c in self.terms.items()})
 
     def __add__(self, other):
         t = dict(self.terms)
@@ -136,7 +160,10 @@ class NCPoly:
         return _poly(t)
 
     def __sub__(self, other):
-        return self + (-other)
+        t = dict(self.terms)
+        for w, c in other.terms.items():
+            _accumulate(t, w, -c)
+        return _poly(t)
 
     def __mul__(self, other):
         """Word-concatenation product; Laurent scalars multiply in."""
@@ -313,8 +340,17 @@ class Derivation:
                 if img is None:
                     raise KeyError("no differential image for %s" % g.name())
                 pre, post = w[:k], w[k + 1:]
-                for rw, rc in img.terms.items():
-                    _accumulate(t, pre + rw + post, rc * c)
+                if c is ONE:
+                    for rw, rc in img.terms.items():
+                        _accumulate(t, pre + rw + post, rc)
+                elif c is MINUS_ONE:
+                    for rw, rc in img.terms.items():
+                        _accumulate(t, pre + rw + post, MINUS_ONE if rc is ONE
+                                    else ONE if rc is MINUS_ONE else -rc)
+                else:
+                    for rw, rc in img.terms.items():
+                        _accumulate(t, pre + rw + post, c if rc is ONE else
+                                    -c if rc is MINUS_ONE else rc * c)
                 if g.degree % 2:
                     c = -c
         return _poly(t)

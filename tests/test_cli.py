@@ -10,6 +10,9 @@ import pytest
 import kch.cli
 import kch.hc0
 from kch.cli import main
+from kch.diagram import apply_move, available_moves, to_text
+from kch.knots import bundled_knot, bundled_table
+from kch.laurent import MINUS_ONE, ONE, LaurentPoly
 
 TREFOIL_LH = "PD[X[3,6,4,1],X[5,2,6,3],X[1,4,2,5]]"
 TREFOIL_RH = "PD[X[6,4,1,3],X[2,6,3,5],X[4,2,5,1]]"
@@ -257,6 +260,35 @@ def test_non_prime_exit_2(capsys, argv, bad):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "%d is not prime" % bad in captured.err
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["table", "--primes", "2,2"], 2),
+    (["table", "--primes", "2,3,5,3"], 3),
+    (["compare", "--pd-a", UNKNOT, "--pd-b", UNKNOT, "--primes", "2,2"], 2),
+])
+def test_repeated_prime_exit_2(capsys, argv, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "prime %d is repeated" % bad in captured.err
+
+
+def test_shared_unit_constants_survive_the_cli(capsys):
+    # the ncalg shortcuts share ONE and MINUS_ONE among all the terms that
+    # hold them; no command may write to them
+    assert LaurentPoly.const(1) is ONE and LaurentPoly.const(-1) is MINUS_ONE
+    assert -ONE is MINUS_ONE and -MINUS_ONE is ONE
+    pd = bundled_knot("figure8")
+    for kind in ("r1_add", "r2_add", "r2_add"):
+        pd = apply_move(pd, [m for m in available_moves(pd)
+                             if m["move"] == kind][3])
+    assert run_cli(capsys, "table")[0] == 0
+    assert run_cli(capsys, "dga", "--check", "--pd", to_text(pd))[0] == 0
+    for _, code in bundled_table():
+        assert run_cli(capsys, "augpoly", "--pd", code)[0] == 0
+    assert ONE.terms == {(0, 0): 1} and MINUS_ONE.terms == {(0, 0): -1}
 
 
 def test_table_runs_each_stage_once_per_knot(capsys, tmp_path, monkeypatch):

@@ -2,6 +2,9 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from kch.dga import build_dga, build_matrices, check_d_squared, check_grading
 from kch.diagram import apply_move, available_moves, crossing_data, parse_pd
 from kch.knots import bundled_knot, bundled_table
@@ -111,3 +114,28 @@ def test_e_images_match_full_products():
             image = dga.differential.images[Generator("e", i)]
             assert image == full[i - 1, i - 1], (pd, i)
             assert list(image.terms) == list(full[i - 1, i - 1].terms)
+
+
+_WALK_MOVES = ("r1_add", "r1_remove", "r2_add", "r2_remove")
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(name=st.sampled_from([name for name, _ in bundled_table()]),
+       data=st.data())
+def test_dga_checks_hold_along_reidemeister_walks(name, data):
+    # a walk of up to 6 R1/R2 moves, additions and removals, from a bundled
+    # knot; each diagram on it gets a DGA of the right size with d^2 = 0
+    pd = bundled_knot(name)
+    for _ in range(data.draw(st.integers(0, 6), label="length")):
+        moves = available_moves(pd)
+        # the kind first, so that the few removals are drawn as often
+        kind = data.draw(st.sampled_from(
+            [k for k in _WALK_MOVES if any(m["move"] == k for m in moves)]))
+        pd = apply_move(pd, data.draw(st.sampled_from(
+            [m for m in moves if m["move"] == kind]), label="move"))
+        dga = build_dga(crossing_data(pd))
+        n = pd.n
+        assert dga.generator_counts() == {0: n * (n - 1), 1: 2 * n * n,
+                                          2: n * n + n}
+        assert check_d_squared(dga)["pass"]
+        assert check_grading(dga)["pass"]

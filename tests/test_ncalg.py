@@ -7,7 +7,7 @@ import pytest
 from kch.dga import build_dga
 from kch.diagram import crossing_data
 from kch.knots import bundled_knot, bundled_table
-from kch.laurent import LaurentPoly
+from kch.laurent import MINUS_ONE, ONE, LaurentPoly
 from kch.ncalg import (Derivation, Generator, NCMatrix, NCPoly,
                        nc_unit_normalize)
 
@@ -193,15 +193,16 @@ def _matmul_dense(a, b):
 
 
 def _leibniz_by_products(d, p):
-    """Reference: sum of prefix * d(letter) * suffix over every letter."""
+    """Reference: sum of prefix * d(letter) * suffix over every letter; the
+    signs are unshared constants."""
     out = NCPoly.zero()
     for w, c in p.terms.items():
         sign = 1
         for k, g in enumerate(w):
             img = d.images[g]
             if img:
-                out = out + NCPoly({w[:k]: LaurentPoly.const(sign)}) * img \
-                    * NCPoly({w[k + 1:]: c})
+                out = out + NCPoly({w[:k]: LaurentPoly({(0, 0): sign})}) \
+                    * img * NCPoly({w[k + 1:]: c})
             if g.degree % 2:
                 sign = -sign
     return out
@@ -262,3 +263,81 @@ def test_differential_of_images_matches_products(name):
             for kind in "bc")
     word = b * c * b + NCPoly.gen(max(d.images)) * c
     assert _items(d.apply(word)) == _items(_leibniz_by_products(d, word))
+
+
+# coefficients for the +-1 shortcuts of ncalg: the shared constants, unshared
+# copies of them, unit monomials and two-term polynomials
+_MIXED_COEFFS = [ONE, MINUS_ONE, LaurentPoly({(0, 0): 1}),
+                 LaurentPoly({(0, 0): -1}), LaurentPoly.mu(),
+                 -LaurentPoly.lam(), LaurentPoly.unit(1, 2, -1),
+                 LaurentPoly.lam() + 2, 1 - LaurentPoly.mu()]
+_LETTERS = [A12, A21, B11, C11, D11]
+
+
+def _mixed_poly(rng, max_terms=4, max_len=2):
+    """Random NCPoly over _LETTERS whose coefficients favour ONE and
+    MINUS_ONE, so that sums of shared constants meet."""
+    terms = {}
+    for _ in range(rng.randrange(max_terms + 1)):
+        w = tuple(rng.choice(_LETTERS)
+                  for _ in range(rng.randrange(max_len + 1)))
+        terms[w] = rng.choice(_MIXED_COEFFS + [ONE, MINUS_ONE] * 3)
+    return NCPoly(terms)
+
+
+def _mixed_matrix(rng, n):
+    return NCMatrix([[_mixed_poly(rng) if rng.random() < 0.6 else NCPoly.zero()
+                      for _ in range(n)] for _ in range(n)])
+
+
+def _unshared(x):
+    """Copy of an NCPoly, NCMatrix or Derivation whose every coefficient is
+    a new LaurentPoly, so no shortcut of ncalg can fire on it."""
+    if isinstance(x, NCMatrix):
+        return NCMatrix([[_unshared(e) for e in row] for row in x.entries])
+    if isinstance(x, Derivation):
+        return Derivation({g: _unshared(img) for g, img in x.images.items()})
+    return NCPoly({w: LaurentPoly(dict(c.terms)) for w, c in x.terms.items()})
+
+
+def _exact(p):
+    """Words, coefficients and both key orders of an NCPoly."""
+    return [(w, list(c.terms.items())) for w, c in p.terms.items()]
+
+
+def _snapshot(*xs):
+    """Every term of the given NCPolys and NCMatrixes, in key order."""
+    out = []
+    for x in xs:
+        polys = [e for row in x.entries for e in row] \
+            if isinstance(x, NCMatrix) else [x]
+        out.append([_exact(p) for p in polys])
+    return out
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_unit_shortcuts_match_generic_arithmetic(seed):
+    rng = random.Random(seed)
+    p, q = _mixed_poly(rng, 6), _mixed_poly(rng, 6)
+    n = rng.randrange(1, 5)
+    a, b = _mixed_matrix(rng, n), _mixed_matrix(rng, n)
+    d = Derivation({g: _mixed_poly(rng, 3) for g in _LETTERS})
+    before = _snapshot(p, q, a, b, *d.images.values())
+    up, uq, ua, ub, ud = (_unshared(x) for x in (p, q, a, b, d))
+
+    assert _exact(p * q) == _exact(up * uq)
+    assert _exact(p - q) == _exact(up - uq)
+    assert _exact(-p) == _exact(-up)
+    for s, us in ((ONE, LaurentPoly({(0, 0): 1})),
+                  (-1, LaurentPoly({(0, 0): -1})),
+                  (LaurentPoly.mu(), LaurentPoly.mu())):
+        assert _exact(p * s) == _exact(up * us)
+    got, want = a * b, _matmul_dense(ua, ub)
+    assert _snapshot(got) == _snapshot(want)
+    assert [_exact(e) for e in a.product_diagonal(b)] \
+        == [_exact(want[i, i]) for i in range(n)]
+    for x in (p, q, p * q):
+        assert _exact(d.apply(x)) \
+            == _exact(_leibniz_by_products(ud, _unshared(x)))
+    assert _snapshot(p, q, a, b, *d.images.values()) == before
+    assert ONE.terms == {(0, 0): 1} and MINUS_ONE.terms == {(0, 0): -1}
