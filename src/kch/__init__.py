@@ -15,8 +15,8 @@ from .diagram import (CrossingData, DiagramError, MoveError, PDCode,
                       apply_move, available_moves, crossing_data, mirror,
                       parse_pd, renumber)
 from .hc0 import Presentation, extract_presentation, simplify
-from .laurent import (LaurentPoly, UniPoly, divides, parse_poly, render,
-                      resultant, unit_normalize)
+from .laurent import (LaurentPoly, UniPoly, divides, pairwise_resultants,
+                      parse_poly, render, resultant, unit_normalize)
 from .ncalg import Derivation, Generator, NCMatrix, NCPoly
 
 __version__ = "0.1.0"

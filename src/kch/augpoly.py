@@ -2,19 +2,19 @@
 
 Supported presentation shapes: no surviving generators (the polynomial is
 the gcd of the constant relations, cutting out their common zero set), or
-one surviving generator with at least two relations (pairwise resultants,
-then a content-corrected gcd).  Anything else is reported as unsupported
+one surviving generator with at least two relations (the pairwise
+resultants, all from one division-free Laplace-expansion kernel, then a
+content-corrected gcd).  Anything else is reported as unsupported
 rather than guessed at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .augment import commutative_relations
-from .laurent import (LaurentPoly, UniPoly, divides, render, resultant,
-                      unit_normalize)
+from .laurent import (LaurentPoly, UniPoly, divides, pairwise_resultants,
+                      render, unit_normalize)
 
 
 @dataclass
@@ -92,7 +92,7 @@ def augmentation_polynomial(pres):
                 for rel in rels]
         if any(u.degree < 1 for u in unis):
             warnings.append("a relation is constant in the generator")
-        ress = [resultant(a, b) for a, b in combinations(unis, 2)]
+        ress = pairwise_resultants(unis)
         nonzero = [r for r in ress if r]
         if not nonzero:
             return AugPolyResult(None, "resultant", False,

@@ -13,13 +13,13 @@ import sys
 
 from . import knots
 from .augment import (DEFAULT_MAX_GENERATORS, DEFAULT_MAX_PRIME,
-                      IntractableError, _is_prime, aug_signature,
+                      IntractableError, _check_prime, _is_prime, aug_signature,
                       count_augmentations, distinguish, first_difference,
                       presentation_signature)
 from .augpoly import augmentation_polynomial, check_apoly_divisibility
 from .dga import build_dga, check_d_squared, check_grading
 from .diagram import DiagramError, crossing_data, parse_pd
-from .hc0 import extract_presentation, simplify
+from .hc0 import extract_presentation, relation_presentation, simplify
 from .laurent import parse_poly, render
 
 SCHEMA = 1
@@ -226,6 +226,8 @@ def cmd_compare(args):
 
 
 def cmd_table(args):
+    for p in args.primes:
+        _check_prime(p, DEFAULT_MAX_PRIME)
     if args.file is None:
         entries = knots.bundled_table()
     else:
@@ -246,7 +248,8 @@ def cmd_table(args):
             rep["d_squared"] = "pass" if check_d_squared(dga)["pass"] \
                 else "fail"
             rep["grading"] = "pass" if check_grading(dga)["pass"] else "fail"
-            pres = simplify(extract_presentation(cd))
+            pres = simplify(relation_presentation(dga.matrices["dB"],
+                                                  dga.matrices["dC"]))
             rep["presentation"] = {
                 "generators": [g.name() for g in pres.generators],
                 "relations": [str(r) for r in pres.relations],

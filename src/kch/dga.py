@@ -74,7 +74,10 @@ def build_matrices(cd):
 
 
 class FramedKnotDGA:
-    """Generators with degrees, the matrices, and the differential table."""
+    """Generators with degrees, the matrices, and the differential table.
+
+    ``matrices`` also holds the images dB = PsiL.A and dC = A.PsiR, whose
+    entries are the relations of the degree-0 presentation."""
 
     def __init__(self, cd, matrices, differential):
         self.cd = cd
@@ -114,6 +117,7 @@ def build_dga(cd):
                 images[Generator("a", i, j)] = NCPoly.zero()
     db = psi_l * a
     dc = a * psi_r
+    mats["dB"], mats["dC"] = db, dc
     dd = b * psi_r - psi_l * c
     # d e_a needs only the diagonal of B.PsiR1 - PsiL2.C
     de = [x - y for x, y in zip(b.product_diagonal(mats["psi_r1"]),

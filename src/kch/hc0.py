@@ -27,19 +27,20 @@ class Presentation:
         return "\n".join(lines)
 
 
-def extract_presentation(cd):
-    """All a_ij with the 2n^2 entries of PsiL.A and A.PsiR as relations."""
-    n = cd.n
-    mats = build_matrices(cd)
-    rel_l = mats["psi_l"] * mats["A"]
-    rel_r = mats["A"] * mats["psi_r"]
-    relations = []
-    for m in (rel_l, rel_r):
-        for i in range(n):
-            for j in range(n):
-                relations.append(m[i, j])
+def relation_presentation(rel_l, rel_r):
+    """All a_ij with the entries of rel_l = PsiL.A and then of
+    rel_r = A.PsiR, each read row by row, as relations."""
+    relations = [m[i, j] for m in (rel_l, rel_r)
+                 for i in range(m.n) for j in range(m.n)]
     gens = sorted({g for rel in relations for g in rel.generators()})
     return Presentation(generators=gens, relations=relations)
+
+
+def extract_presentation(cd):
+    """All a_ij with the 2n^2 entries of PsiL.A and A.PsiR as relations."""
+    mats = build_matrices(cd)
+    return relation_presentation(mats["psi_l"] * mats["A"],
+                                 mats["A"] * mats["psi_r"])
 
 
 def _recode(p, table):

@@ -18,13 +18,30 @@ is just as correct, only slower.
 Exact division has one kernel, ``_quotient``: it strips both sides to least
 exponents 0, so that l and m divide neither, and divides in Z[l, m] by
 leading terms in (m-degree, l-degree) lex order, which terminates.  A
-monomial divisor takes a fast path.  ``divides`` and the Bareiss step's
-``_exact_quotient`` are thin wrappers around it.
+monomial divisor takes a fast path; ``divides`` is a thin wrapper around it.
+
+Resultants have one kernel, ``pairwise_resultants``, which expands every
+Sylvester determinant of a list of polynomials by the Laplace rule along
+block minors shared between pairs; it multiplies and adds, never divides.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import combinations
+
+
+def _mul_into(acc, a, b, sign):
+    """acc += sign * a * b on terms dicts; acc keeps no zero coefficient."""
+    for (i1, j1), c1 in a.items():
+        c1 *= sign
+        for (i2, j2), c2 in b.items():
+            e = (i1 + i2, j1 + j2)
+            s = acc.get(e, 0) + c1 * c2
+            if s:
+                acc[e] = s
+            elif e in acc:
+                del acc[e]
 
 
 class LaurentPoly:
@@ -122,17 +139,9 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        t = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                e = (i1 + i2, j1 + j2)
-                s = t.get(e, 0) + c1 * c2
-                if s:
-                    t[e] = s
-                elif e in t:
-                    del t[e]
         out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = t
+        out.terms = {}
+        _mul_into(out.terms, self.terms, other.terms, 1)
         return out
 
     __rmul__ = __mul__
@@ -398,48 +407,74 @@ def sylvester_matrix(p, q):
     return rows
 
 
-def det_bareiss(matrix):
-    """Fraction-free determinant over the Laurent ring (Bareiss, with row
-    pivoting; the interior divisions are exact)."""
-    a = [row[:] for row in matrix]
-    n = len(a)
-    if n == 0:
-        return LaurentPoly.const(1)
-    sign = 1
-    prev = LaurentPoly.const(1)
-    for k in range(n - 1):
-        piv = None
-        for r in range(k, n):
-            if a[r][k]:
-                piv = r
-                break
-        if piv is None:
-            return LaurentPoly.zero()
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = _exact_quotient(num, prev)
-            a[i][k] = LaurentPoly.zero()
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return d if sign > 0 else -d
+def _block_minors(p, d):
+    """The nonzero d x d minors of the d x (deg p + d) block of Sylvester
+    rows of p (row r holds p's coefficients, leading first, from column
+    r), as a dict from column bitmask to terms dict.
+
+    The minors of the first r + 1 rows come from those of the first r by
+    expanding along row r: the entry in column c, not in the r-column set
+    S, adds (-1)^(number of columns of S after c) * entry * minor(S) to
+    minor(S + {c}).  Zero entries are skipped and nothing is divided."""
+    row = [(k, c.terms) for k, c in enumerate(reversed(p.coeffs)) if c]
+    minors = {0: {(0, 0): 1}}
+    for r in range(d):
+        nxt = {}
+        for mask, minor in minors.items():
+            for k, entry in row:
+                col = r + k
+                bit = 1 << col
+                if mask & bit:
+                    continue
+                sign = -1 if (mask >> col).bit_count() & 1 else 1
+                _mul_into(nxt.setdefault(mask | bit, {}), minor, entry, sign)
+        minors = {mask: minor for mask, minor in nxt.items() if minor}
+    return minors
 
 
-def _exact_quotient(p, d):
-    """p / d, valid only when d divides p (Bareiss guarantees this)."""
-    q = _quotient(p, d)
-    if q is None:
-        raise ArithmeticError("inexact division")
-    return q
+def _column_sum(mask):
+    """The sum of the column indices in a bitmask."""
+    return sum(c for c in range(mask.bit_length()) if mask >> c & 1)
+
+
+def pairwise_resultants(polys):
+    """[resultant(a, b) for a, b in combinations(polys, 2)], in that order.
+
+    Each Sylvester determinant is expanded by the generalized Laplace rule
+    along the m = deg b rows of a: the sum over m-column sets S of
+    (-1)^(sum S - m(m-1)/2) * minor_a(S) * minor_b(complement of S),
+    columns counted from 0.  A polynomial's block minors depend only on
+    it and its partner's degree, so each (polynomial, partner degree) is
+    expanded once.  Raises ValueError if any polynomial is zero."""
+    polys = list(polys)
+    if not all(polys):
+        raise ValueError("resultant of a zero polynomial")
+    cache = {}
+
+    def minors(k, d):
+        got = cache.get((k, d))
+        if got is None:
+            got = cache[(k, d)] = _block_minors(polys[k], d)
+        return got
+
+    out = []
+    for i, j in combinations(range(len(polys)), 2):
+        n, m = polys[i].degree, polys[j].degree
+        full = (1 << (n + m)) - 1
+        base = m * (m - 1) // 2
+        bottom = minors(j, n)
+        acc = {}
+        for mask, top in minors(i, m).items():
+            other = bottom.get(full ^ mask)
+            if other is not None:
+                sign = -1 if (_column_sum(mask) - base) & 1 else 1
+                _mul_into(acc, top, other, sign)
+        res = LaurentPoly.__new__(LaurentPoly)
+        res.terms = acc
+        out.append(res)
+    return out
 
 
 def resultant(p, q):
     """Resultant of p and q in x, an element of the Laurent ring."""
-    if not p or not q:
-        raise ValueError("resultant of a zero polynomial")
-    if p.degree == 0 and q.degree == 0:
-        return LaurentPoly.const(1)
-    return det_bareiss(sylvester_matrix(p, q))
+    return pairwise_resultants([p, q])[0]

@@ -2,6 +2,7 @@
 
 import collections
 import json
+import os
 import subprocess
 import sys
 
@@ -336,3 +337,29 @@ def test_parse_does_not_import_sympy():
     imported = {line.split("|")[-1].strip()
                 for line in proc.stderr.splitlines()}
     assert "kch.augpoly" in imported and "sympy" not in imported
+
+
+@pytest.mark.parametrize("primes", ["17", "2,17", "131"])
+def test_table_prime_past_bound_exit_1(capsys, primes):
+    # the primes are checked once, before any knot is computed
+    code, out, err = run_cli(capsys, "table", "--primes", primes)
+    bad = primes.split(",")[-1]
+    assert code == 1 and out == ""
+    assert err == "kch: prime %s exceeds the bound 13\n" % bad
+
+
+R2_TREFOIL = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "inputs", "seed-1",
+    "r2_family", "03_trefoil_lh.n9.txt")
+
+
+def test_table_does_not_import_sympy():
+    # the resultants of the bundled knots and of an R2-inflated trefoil
+    # reach their gcd by divisibility alone, so sympy stays unloaded
+    script = ("import sys; from kch.cli import main; "
+              "codes = [main(['table']), main(['table', sys.argv[1]])]; "
+              "print(codes, 'sympy' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script, R2_TREFOIL],
+                          capture_output=True, text=True, check=True)
+    assert proc.stderr == "[0, 0] False\n"
+    assert proc.stdout.count('"method": "gcd-of-resultants"') == 2

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 import kch.augment
 import kch.hc0
+from kch.dga import build_dga
 from kch.diagram import apply_move, available_moves, crossing_data
 from kch.hc0 import (MAX_REPLACEMENT_WORD, IntractableError, Presentation,
-                     _unit_key, extract_presentation, replay_log, simplify)
+                     _unit_key, extract_presentation, relation_presentation,
+                     replay_log, simplify)
 from kch.knots import bundled_knot, bundled_table
 from kch.laurent import LaurentPoly
 from kch.ncalg import Generator, NCPoly, nc_unit_normalize
@@ -24,6 +26,19 @@ def test_extract_counts():
     assert len(pres.generators) == 6
     assert len(pres.relations) == 18
     assert all(r.homogeneous_degree() in (0, "zero") for r in pres.relations)
+
+
+def test_presentation_from_dga_products_matches_extract():
+    # kch table reads the relations off the DGA's dB and dC; they must be
+    # extract_presentation's, in the same order with the same term order
+    for name, _ in bundled_table():
+        cd = crossing_data(bundled_knot(name))
+        mats = build_dga(cd).matrices
+        got = relation_presentation(mats["dB"], mats["dC"])
+        want = extract_presentation(cd)
+        assert got.generators == want.generators
+        assert [list(r.terms.items()) for r in got.relations] \
+            == [list(r.terms.items()) for r in want.relations]
 
 
 def test_trefoil_reduces_to_one_generator():

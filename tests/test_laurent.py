@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kch.laurent import (LaurentPoly, UniPoly, _exact_quotient, divides,
-                         parse_poly, render, resultant, sylvester_matrix,
-                         unit_normalize)
+from kch.laurent import (LaurentPoly, UniPoly, _quotient, divides,
+                         pairwise_resultants, parse_poly, render, resultant,
+                         sylvester_matrix, unit_normalize)
 
 L = LaurentPoly.lam
 M = LaurentPoly.mu
@@ -163,16 +163,14 @@ def test_divides_basic():
 @given(_polys.filter(bool), _polys)
 def test_divides_random_products(d, q):
     assert divides(d, d * q)
-    assert _exact_quotient(d * q, d) == q
+    assert _quotient(d * q, d) == q
 
 
 def test_exact_quotient_raises_on_non_divisor():
     # long division of 1 by 1 + l in Laurent exponents never ends; the
     # stripped division in Z[l, m] stops at once
-    with pytest.raises(ArithmeticError):
-        _exact_quotient(C(1), 1 + L())
-    with pytest.raises(ArithmeticError):
-        _exact_quotient(1 + L(), C(2) * L(-1))
+    assert _quotient(C(1), 1 + L()) is None
+    assert _quotient(1 + L(), C(2) * L(-1)) is None
     assert not divides(1 + L(), C(1))
 
 
@@ -184,7 +182,8 @@ def test_unipoly_normalizes_leading_zeros():
 
 
 def _det_naive(matrix):
-    """Permutation-expansion determinant; independent of the Bareiss code."""
+    """Permutation-expansion determinant; independent of the resultant
+    kernel."""
     n = len(matrix)
     total = LaurentPoly.zero()
     for perm in itertools.permutations(range(n)):
@@ -228,3 +227,45 @@ def test_resultant_of_common_root():
 def test_resultant_rejects_zero():
     with pytest.raises(ValueError):
         resultant(UniPoly([]), UniPoly([C(1), C(1)]))
+
+
+# a coefficient has 0-3 terms, so middle coefficients may be zero; the
+# leading one is nonzero and need not be a unit (2, 1 + l, ...)
+_coeffs = st.dictionaries(
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+    st.integers(-3, 3), max_size=3).map(LaurentPoly)
+
+
+@st.composite
+def _unipolys(draw):
+    """A nonzero UniPoly of degree 0-4."""
+    degree = draw(st.integers(0, 4))
+    lead = draw(_coeffs.filter(bool))
+    return UniPoly([draw(_coeffs) for _ in range(degree)] + [lead])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(_unipolys(), min_size=2, max_size=5))
+def test_pairwise_resultants_against_naive_determinant(polys):
+    # five degrees drawn for up to five polynomials repeat often, so one
+    # polynomial's block minors serve several partners of equal degree
+    got = pairwise_resultants(polys)
+    pairs = list(itertools.combinations(polys, 2))
+    assert len(got) == len(pairs)
+    for r, (a, b) in zip(got, pairs):
+        assert r == _det_naive(sylvester_matrix(a, b))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.lists(_unipolys(), max_size=4), st.data())
+def test_pairwise_resultants_reject_zero(polys, data):
+    k = data.draw(st.integers(0, len(polys)))
+    with pytest.raises(ValueError):
+        pairwise_resultants(polys[:k] + [UniPoly([])] + polys[k:])
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(_unipolys())
+def test_pairwise_resultants_of_fewer_than_two(p):
+    assert pairwise_resultants([]) == []
+    assert pairwise_resultants([p]) == []
