@@ -1,8 +1,8 @@
 """Counting augmentations of a cord-algebra presentation over prime fields.
 
 An augmentation is a ring map to Z_p sending l, m to prescribed units; it
-factors through the abelianization, so noncommutative words collapse to
-commutative monomials before solving.
+factors through the abelianization (Presentation.commutative, computed once
+per presentation), so words collapse to commutative monomials before solving.
 
 One exact backtracking search over the variables serves all (p-1)^2 points
 (l0, m0) at once.  A vector of residues, one per point, is packed into a
@@ -27,10 +27,8 @@ byte string: point (l0, m0) is byte (l0-1)(p-1) + (m0-1), so l0-major.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .diagram import crossing_data
-from .hc0 import IntractableError, extract_presentation, simplify
+from .hc0 import IntractableError
 
 DEFAULT_MAX_PRIME = 13
 DEFAULT_MAX_GENERATORS = 16
@@ -75,29 +73,6 @@ def _is_prime(p):
             return False
         k += 1
     return True
-
-
-def commutative_relations(pres):
-    """Collapse each relation's words to sorted generator tuples.
-
-    Returns (variables, relations) where relations are lists of
-    (monomial, LaurentPoly), sorted by monomial, with monomial a tuple of
-    variable indices.  Raises ValueError on a letter that is not a generator.
-    """
-    variables = sorted(set(pres.generators))
-    index = {g: k for k, g in enumerate(variables)}
-    rels = []
-    try:
-        for rel in pres.relations:
-            acc = {}
-            for word, coeff in rel.terms.items():
-                mono = tuple(sorted(index[g] for g in word))
-                acc[mono] = acc[mono] + coeff if mono in acc else coeff
-            rels.append([(m, c) for m, c in sorted(acc.items()) if c])
-    except KeyError as exc:
-        raise ValueError("relation letter %s is not a listed generator"
-                         % (exc.args[0],)) from None
-    return variables, [r for r in rels if r]
 
 
 def _count(relations, nvars, p):
@@ -193,31 +168,12 @@ def _count(relations, nvars, p):
     return counts
 
 
-class _Collapsed(NamedTuple):
-    """A presentation collapsed by commutative_relations and checked
-    against the generator bound; count_augmentations takes it in place of
-    the Presentation, so presentation_signature collapses only once."""
-
-    generators: list  # the sorted variables
-    relations: list
-
-
-def _collapse(pres, max_generators):
-    if isinstance(pres, _Collapsed):
-        return pres
-    variables, relations = commutative_relations(pres)
-    if len(variables) > max_generators:
-        raise IntractableError(
-            "%d surviving generators exceed the search bound %d"
-            % (len(variables), max_generators))
-    return _Collapsed(variables, relations)
-
-
 def _check_prime(p, max_prime):
     if not _is_prime(p):
         raise ValueError("%r is not prime" % (p,))
     if p > max_prime:
-        raise IntractableError("prime %d exceeds the bound %d" % (p, max_prime))
+        raise IntractableError("count: prime %d exceeds the bound %d"
+                               % (p, max_prime))
     if p > MAX_PACKED_PRIME:
         raise IntractableError(
             "count: prime %d exceeds the bound %d of the packed point search"
@@ -228,34 +184,22 @@ def count_augmentations(pres, p, max_prime=DEFAULT_MAX_PRIME,
                         max_generators=DEFAULT_MAX_GENERATORS):
     """AugTable of the presentation over Z_p, all (lam0, mu0) in (F_p*)^2."""
     _check_prime(p, max_prime)
-    flat = _collapse(pres, max_generators)
+    variables, relations = pres.commutative
+    if len(variables) > max_generators:
+        raise IntractableError(
+            "count: %d surviving generators exceed the search bound %d"
+            % (len(variables), max_generators))
     points = [(l0, m0) for l0 in range(1, p) for m0 in range(1, p)]
-    counts = _count(flat.relations, len(flat.generators), p)
+    counts = _count(relations, len(variables), p)
     return AugTable(p=p, counts=tuple(zip(points, counts)))
-
-
-def presentation_signature(pres, primes, max_prime=DEFAULT_MAX_PRIME,
-                           max_generators=DEFAULT_MAX_GENERATORS):
-    """Per-prime tables of an already simplified presentation.  The
-    presentation is collapsed and checked against max_generators once,
-    after the first prime is checked, as the first count would do."""
-    primes = tuple(primes)
-    if primes:
-        _check_prime(primes[0], max_prime)
-        pres = _collapse(pres, max_generators)
-    tables = tuple(
-        count_augmentations(pres, p, max_prime=max_prime,
-                            max_generators=max_generators)
-        for p in primes)
-    return Signature(primes=primes, tables=tables)
 
 
 def aug_signature(pd, primes, max_prime=DEFAULT_MAX_PRIME,
                   max_generators=DEFAULT_MAX_GENERATORS):
-    """crossing_data -> presentation -> simplify -> per-prime tables."""
-    pres = simplify(extract_presentation(crossing_data(pd)))
-    return presentation_signature(pres, primes, max_prime=max_prime,
-                                  max_generators=max_generators)
+    """Per-prime tables of the diagram: Run(pd).signature(...)."""
+    from .pipeline import Run  # pipeline imports this module
+    return Run(pd).signature(primes, max_prime=max_prime,
+                             max_generators=max_generators)
 
 
 def distinguish(s1, s2):

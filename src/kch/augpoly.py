@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .augment import commutative_relations
 from .laurent import (LaurentPoly, UniPoly, divides, pairwise_resultants,
                       render, unit_normalize)
 
@@ -70,7 +69,7 @@ def augmentation_polynomial(pres):
     """Augmentation polynomial of a simplified presentation, unit-normalized."""
     gens = list(pres.generators)
     relations = [r for r in pres.relations if r]
-    rels = commutative_relations(pres)[1]
+    rels = pres.commutative[1]
     warnings = []
     if len(gens) == 0:
         consts = [c for ((_, c),) in rels]

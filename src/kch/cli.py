@@ -13,14 +13,13 @@ import sys
 
 from . import knots
 from .augment import (DEFAULT_MAX_GENERATORS, DEFAULT_MAX_PRIME,
-                      IntractableError, _check_prime, _is_prime, aug_signature,
-                      count_augmentations, distinguish, first_difference,
-                      presentation_signature)
-from .augpoly import augmentation_polynomial, check_apoly_divisibility
-from .dga import build_dga, check_d_squared, check_grading
-from .diagram import DiagramError, crossing_data, parse_pd
-from .hc0 import extract_presentation, relation_presentation, simplify
-from .laurent import parse_poly, render
+                      IntractableError, _check_prime, _is_prime,
+                      count_augmentations, distinguish, first_difference)
+from .augpoly import check_apoly_divisibility
+from .dga import check_d_squared, check_grading
+from .diagram import DiagramError, parse_pd
+from .laurent import parse_poly
+from .pipeline import Run
 
 SCHEMA = 1
 
@@ -118,10 +117,11 @@ def build_parser():
 # -- report builders --------------------------------------------------
 
 
-def _diagram_stats(pd, cd):
+def _diagram_stats(run):
+    pd, cd = run.pd, run.cd
     return {
         "n": pd.n,
-        "arcs": [list(run) for run in pd.arcs()],
+        "arcs": [list(arc) for arc in pd.arcs()],
         "crossings": [
             {"o": cd.o[k], "l": cd.l[k], "r": cd.r[k], "eps": cd.eps[k]}
             for k in range(cd.n)
@@ -130,14 +130,26 @@ def _diagram_stats(pd, cd):
     }
 
 
+def _presentation_report(pres):
+    return {"generators": [g.name() for g in pres.generators],
+            "relations": [str(r) for r in pres.relations]}
+
+
+def _check_report(dga):
+    """The d^2 = 0 and grading verdicts, and the failures behind them."""
+    d2 = check_d_squared(dga)
+    gr = check_grading(dga)
+    return ({"d_squared": "pass" if d2["pass"] else "fail",
+             "grading": "pass" if gr["pass"] else "fail"},
+            d2["failures"] + gr["failures"])
+
+
 def cmd_parse(args):
-    pd = parse_pd(args.pd)
-    return {"schema": SCHEMA, **_diagram_stats(pd, crossing_data(pd))}
+    return {"schema": SCHEMA, **_diagram_stats(Run(parse_pd(args.pd)))}
 
 
 def cmd_dga(args):
-    pd = parse_pd(args.pd)
-    dga = build_dga(crossing_data(pd))
+    dga = Run(parse_pd(args.pd)).dga
     rep = {
         "schema": SCHEMA,
         "n": dga.n,
@@ -145,26 +157,17 @@ def cmd_dga(args):
                        for k, v in sorted(dga.generator_counts().items())},
     }
     if args.check:
-        d2 = check_d_squared(dga)
-        gr = check_grading(dga)
-        rep["d_squared"] = "pass" if d2["pass"] else "fail"
-        rep["grading"] = "pass" if gr["pass"] else "fail"
-        rep["failures"] = d2["failures"] + gr["failures"]
+        verdicts, failures = _check_report(dga)
+        rep.update(verdicts, failures=failures)
     return rep
 
 
 def cmd_hc0(args):
-    pd = parse_pd(args.pd)
-    pres = extract_presentation(crossing_data(pd))
-    total = len(pres.generators)
-    if not args.no_simplify:
-        pres = simplify(pres)
-    return {
-        "schema": SCHEMA,
-        "generators": [g.name() for g in pres.generators],
-        "relations": [str(r) for r in pres.relations],
-        "eliminated": total - len(pres.generators),
-    }
+    run = Run(parse_pd(args.pd))
+    pres = run.presentation if args.no_simplify else run.simplified
+    return {"schema": SCHEMA, **_presentation_report(pres),
+            "eliminated": len(run.presentation.generators)
+            - len(pres.generators)}
 
 
 def cmd_aug(args):
@@ -172,30 +175,19 @@ def cmd_aug(args):
         if value is not None and not 0 < value < args.prime:
             raise DiagramError("%s %d is not a unit mod %d (use 1..%d)"
                                % (flag, value, args.prime, args.prime - 1))
-    pd = parse_pd(args.pd)
-    pres = simplify(extract_presentation(crossing_data(pd)))
-    table = count_augmentations(pres, args.prime,
+    table = count_augmentations(Run(parse_pd(args.pd)).simplified, args.prime,
                                 max_prime=args.max_prime,
                                 max_generators=args.max_generators)
     entries = [{"lambda": l0, "mu": m0, "count": c}
-               for (l0, m0), c in table.counts]
-    if args.lam0 is not None or args.mu0 is not None:
-        entries = [e for e in entries
-                   if (args.lam0 is None or e["lambda"] == args.lam0)
-                   and (args.mu0 is None or e["mu"] == args.mu0)]
+               for (l0, m0), c in table.counts
+               if args.lam0 in (None, l0) and args.mu0 in (None, m0)]
     return {"schema": SCHEMA, "p": table.p, "table": entries,
             "total": sum(e["count"] for e in entries)}
 
 
-def _augpoly_report(pd):
-    pres = simplify(extract_presentation(crossing_data(pd)))
-    res = augmentation_polynomial(pres)
-    return res, {"schema": SCHEMA, **res.as_json_obj()}
-
-
 def cmd_augpoly(args):
-    _, rep = _augpoly_report(parse_pd(args.pd))
-    return rep
+    return {"schema": SCHEMA,
+            **Run(parse_pd(args.pd)).augpoly.as_json_obj()}
 
 
 def cmd_apoly_check(args):
@@ -206,7 +198,7 @@ def cmd_apoly_check(args):
         raise DiagramError("bad A-polynomial: %s" % exc)
     if not apoly:
         raise DiagramError("bad A-polynomial: zero polynomial")
-    res, _ = _augpoly_report(pd)
+    res = Run(pd).augpoly
     if not res.supported:
         raise ComputationError(
             "augmentation polynomial unsupported: %s" % "; ".join(res.warnings))
@@ -215,14 +207,11 @@ def cmd_apoly_check(args):
 
 
 def cmd_compare(args):
-    pd_a = parse_pd(args.pd_a)
-    pd_b = parse_pd(args.pd_b)
-    sig_a = aug_signature(pd_a, args.primes)
-    sig_b = aug_signature(pd_b, args.primes)
-    diff = first_difference(sig_a, sig_b)
+    pds = [parse_pd(args.pd_a), parse_pd(args.pd_b)]
+    sig_a, sig_b = [Run(pd).signature(args.primes) for pd in pds]
     return {"schema": SCHEMA,
             "distinguished": distinguish(sig_a, sig_b),
-            "first_difference": diff}
+            "first_difference": first_difference(sig_a, sig_b)}
 
 
 def cmd_table(args):
@@ -241,38 +230,23 @@ def cmd_table(args):
     for name, code in entries:
         rep = {"name": name}
         try:
-            pd = parse_pd(code)
-            cd = crossing_data(pd)
-            rep.update(_diagram_stats(pd, cd))
-            dga = build_dga(cd)
-            rep["d_squared"] = "pass" if check_d_squared(dga)["pass"] \
-                else "fail"
-            rep["grading"] = "pass" if check_grading(dga)["pass"] else "fail"
-            pres = simplify(relation_presentation(dga.matrices["dB"],
-                                                  dga.matrices["dC"]))
-            rep["presentation"] = {
-                "generators": [g.name() for g in pres.generators],
-                "relations": [str(r) for r in pres.relations],
-            }
-            sig = presentation_signature(pres, args.primes,
-                                         max_generators=args.max_generators)
+            run = Run(parse_pd(code))
+            rep.update(_diagram_stats(run))
+            rep.update(_check_report(run.dga)[0])
+            # built after the DGA, so taken from its dB and dC
+            rep["presentation"] = _presentation_report(run.simplified)
+            sig = run.signature(args.primes,
+                                max_generators=args.max_generators)
             rep["signature"] = sig.as_json_obj()
             signatures[name] = sig
-            rep["augmentation_polynomial"] = \
-                augmentation_polynomial(pres).as_json_obj()
+            rep["augmentation_polynomial"] = run.augpoly.as_json_obj()
         except (DiagramError, IntractableError, ValueError) as exc:
             rep["error"] = str(exc)
         reports.append(rep)
     names = [r["name"] for r in reports]
-    matrix = []
-    for a in names:
-        row = []
-        for b in names:
-            if a not in signatures or b not in signatures:
-                row.append(None)
-            else:
-                row.append(distinguish(signatures[a], signatures[b]))
-        matrix.append(row)
+    matrix = [[distinguish(signatures[a], signatures[b])
+               if a in signatures and b in signatures else None
+               for b in names] for a in names]
     return {"schema": SCHEMA, "knots": reports,
             "distinguish_matrix": matrix}
 

@@ -9,6 +9,7 @@ in the same relation; this never changes the quotient algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .dga import build_matrices
 from .ncalg import NCPoly, _word_key
@@ -25,6 +26,28 @@ class Presentation:
         for rel in self.relations:
             lines.append("  0 = %s" % rel)
         return "\n".join(lines)
+
+    @cached_property
+    def commutative(self):
+        """The relations abelianized, computed once per presentation:
+        (variables, relations), the sorted generators and each nonzero
+        relation as a list of (monomial, LaurentPoly) sorted by monomial, a
+        monomial being a sorted tuple of variable indices.  Raises
+        ValueError on a letter that is not a generator."""
+        variables = sorted(set(self.generators))
+        index = {g: k for k, g in enumerate(variables)}
+        rels = []
+        try:
+            for rel in self.relations:
+                acc = {}
+                for word, coeff in rel.terms.items():
+                    mono = tuple(sorted(index[g] for g in word))
+                    acc[mono] = acc[mono] + coeff if mono in acc else coeff
+                rels.append([(m, c) for m, c in sorted(acc.items()) if c])
+        except KeyError as exc:
+            raise ValueError("relation letter %s is not a listed generator"
+                             % (exc.args[0],)) from None
+        return variables, [r for r in rels if r]
 
 
 def relation_presentation(rel_l, rel_r):

@@ -13,8 +13,8 @@ import subprocess
 import sys
 import time
 
-from kch.augment import (aug_signature, commutative_relations,
-                         count_augmentations, distinguish, first_difference)
+from kch.augment import (aug_signature, count_augmentations, distinguish,
+                         first_difference)
 from kch.augpoly import augmentation_polynomial, check_apoly_divisibility
 from kch.dga import build_dga, build_matrices, check_d_squared, check_grading
 from kch.diagram import apply_move, available_moves, crossing_data, parse_pd, renumber
@@ -266,7 +266,7 @@ def test_09_oracle_suites():
     # pruned search against exhaustive enumeration
     for name in ALL_KNOTS:
         pres = _simplified(name)
-        variables, relations = commutative_relations(pres)
+        variables, relations = pres.commutative
         for p in (2, 3):
             pruned = dict(count_augmentations(pres, p).counts)
             for l0 in range(1, p):

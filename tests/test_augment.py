@@ -7,8 +7,7 @@ import random
 import pytest
 
 from kch.augment import (AugTable, IntractableError, aug_signature,
-                         commutative_relations, count_augmentations,
-                         distinguish, first_difference)
+                         count_augmentations, distinguish, first_difference)
 from kch.augpoly import augmentation_polynomial
 from kch.diagram import apply_move, available_moves, crossing_data, mirror
 from kch.hc0 import Presentation, extract_presentation, simplify
@@ -26,7 +25,7 @@ def _simplified(name):
 
 def _count_exhaustive(pres, p):
     """Brute-force reference counter: no pruning, no variable ordering."""
-    variables, relations = commutative_relations(pres)
+    variables, relations = pres.commutative
     nvars = len(variables)
     counts = []
     for l0 in range(1, p):
@@ -118,7 +117,7 @@ def _count_point(relations, nvars, lam0, mu0, p):
 
 def _count_by_points(pres, p):
     """Reference counter: the per-point loop of _count_point."""
-    variables, relations = commutative_relations(pres)
+    variables, relations = pres.commutative
     points = [(l0, m0) for l0 in range(1, p) for m0 in range(1, p)]
     return AugTable(p=p, counts=tuple(
         (pt, _count_point(relations, len(variables), *pt, p))
@@ -273,7 +272,7 @@ def test_unlisted_relation_letter_is_a_value_error():
         relations=[NCPoly.gen(a31, M()) - NCPoly.gen(a21) * NCPoly.gen(a31),
                    NCPoly.gen(a21, L()) - NCPoly.scalar(1)])
     with pytest.raises(ValueError, match="letter a21 "):
-        commutative_relations(pres)
+        pres.commutative
     with pytest.raises(ValueError, match="letter a21 "):
         count_augmentations(pres, 3)
     with pytest.raises(ValueError, match="letter a21 "):

@@ -5,7 +5,6 @@ from itertools import combinations
 import pytest
 import sympy
 
-from kch.augment import commutative_relations
 from kch.augpoly import (augmentation_polynomial, check_apoly_divisibility,
                          laurent_gcd)
 from kch.diagram import crossing_data, parse_pd
@@ -134,7 +133,7 @@ def test_laurent_gcd_matches_sympy_only_loop(polys):
 def _gcd_inputs(pres):
     """The polynomials augmentation_polynomial takes the gcd of: the
     constant relations, or the nonzero pairwise resultants."""
-    variables, rels = commutative_relations(pres)
+    variables, rels = pres.commutative
     if not variables:
         return [c for ((_, c),) in rels]
     unis = [UniPoly([dict(rel).get((0,) * k, LaurentPoly.zero())

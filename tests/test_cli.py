@@ -1,6 +1,8 @@
 """Tests for the kch command line."""
 
 import collections
+import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ import pytest
 
 import kch.cli
 import kch.hc0
+import kch.pipeline
 from kch.cli import main
 from kch.diagram import apply_move, available_moves, to_text
 from kch.knots import bundled_knot, bundled_table
@@ -292,24 +295,58 @@ def test_shared_unit_constants_survive_the_cli(capsys):
     assert ONE.terms == {(0, 0): 1} and MINUS_ONE.terms == {(0, 0): -1}
 
 
-def test_table_runs_each_stage_once_per_knot(capsys, tmp_path, monkeypatch):
+# the stages a command may run on each of its diagrams, and how often
+_PARSED = {"crossing_data": 1}
+_EXTRACTED = dict(_PARSED, extract_presentation=1)
+_SIMPLIFIED = dict(_EXTRACTED, simplify=1)
+_COUNTED = dict(_SIMPLIFIED, commutative=1)
+
+
+@pytest.mark.parametrize("argv, diagrams, stages", [
+    pytest.param(["parse", "--pd", TREFOIL_LH], 1, _PARSED, id="parse"),
+    pytest.param(["dga", "--check", "--pd", TREFOIL_LH], 1,
+                 dict(_PARSED, build_dga=1), id="dga"),
+    pytest.param(["hc0", "--pd", TREFOIL_LH], 1, _SIMPLIFIED, id="hc0"),
+    pytest.param(["hc0", "--no-simplify", "--pd", TREFOIL_LH], 1,
+                 _EXTRACTED, id="hc0-no-simplify"),
+    pytest.param(["aug", "--prime", "3", "--pd", TREFOIL_LH], 1, _COUNTED,
+                 id="aug"),
+    pytest.param(["augpoly", "--pd", TREFOIL_LH], 1, _COUNTED, id="augpoly"),
+    pytest.param(["apoly-check", "--apoly", "1 + l*m^6", "--pd", TREFOIL_LH],
+                 1, _COUNTED, id="apoly-check"),
+    pytest.param(["compare", "--pd-a", TREFOIL_LH, "--pd-b", TREFOIL_RH], 2,
+                 _COUNTED, id="compare"),
+    # the presentation comes from the DGA's dB and dC, and one
+    # abelianization serves every prime and the augmentation polynomial
+    pytest.param(["table", "KNOTS", "--primes", "2,3"], 2,
+                 {"crossing_data": 1, "build_dga": 1, "simplify": 1,
+                  "commutative": 1}, id="table"),
+])
+def test_each_stage_runs_at_most_once_per_diagram(capsys, tmp_path,
+                                                  monkeypatch, argv,
+                                                  diagrams, stages):
     calls = collections.Counter()
 
-    def counted(name):
-        original = getattr(kch.cli, name)
-
+    def counted(name, original):
         def wrapper(*args):
             calls[name] += 1
             return original(*args)
         return wrapper
 
-    for name in ("simplify", "crossing_data"):
-        monkeypatch.setattr(kch.cli, name, counted(name))
+    for name in ("crossing_data", "build_dga", "extract_presentation",
+                 "simplify"):
+        monkeypatch.setattr(kch.pipeline, name,
+                            counted(name, getattr(kch.pipeline, name)))
+    commutative = functools.cached_property(counted(
+        "commutative", kch.hc0.Presentation.commutative.func))
+    commutative.__set_name__(kch.hc0.Presentation, "commutative")
+    monkeypatch.setattr(kch.hc0.Presentation, "commutative", commutative)
     f = tmp_path / "knots.txt"
     f.write_text("unknot: %s\ntref: %s\n" % (UNKNOT, TREFOIL_LH))
-    code, _, _ = run_cli(capsys, "table", str(f), "--primes", "2,3")
+    code, _, _ = run_cli(capsys, *[str(f) if a == "KNOTS" else a
+                                   for a in argv])
     assert code == 0
-    assert calls == {"simplify": 2, "crossing_data": 2}
+    assert calls == {name: n * diagrams for name, n in stages.items()}
 
 
 def test_simplify_budget_exit_1(capsys, tmp_path, monkeypatch):
@@ -345,7 +382,7 @@ def test_table_prime_past_bound_exit_1(capsys, primes):
     code, out, err = run_cli(capsys, "table", "--primes", primes)
     bad = primes.split(",")[-1]
     assert code == 1 and out == ""
-    assert err == "kch: prime %s exceeds the bound 13\n" % bad
+    assert err == "kch: count: prime %s exceeds the bound 13\n" % bad
 
 
 R2_TREFOIL = os.path.join(os.path.dirname(os.path.dirname(
@@ -363,3 +400,61 @@ def test_table_does_not_import_sympy():
                           capture_output=True, text=True, check=True)
     assert proc.stderr == "[0, 0] False\n"
     assert proc.stdout.count('"method": "gcd-of-resultants"') == 2
+
+
+# sha256 of stdout, pinned before the stages moved into kch.pipeline
+GOLDEN = [
+    pytest.param(
+        ["table"],
+        "6ada87d1f6c6854c0fd45dee4287e673c78b84771b64b8593725f985c841033e",
+        id="table"),
+    pytest.param(
+        ["--output", "text", "table"],
+        "2a28f8230ae769297a35fa95312ff21c2fae8b6a4103a4f4b143610a37bbf5ec",
+        id="table-text"),
+]
+# knot -> digests of `hc0`, `augpoly` and `dga --check`
+GOLDEN_KNOTS = {
+    "unknot": (
+        "261091c4befa4a552b547149172f274c485a97b82ed14a1130fd267669577d32",
+        "d18145ed88eda79ed64a615be8689132af627626d842a8665213a4587dea478e",
+        "8f16c9fcfb38788942b069f8bbd3a0c49190a8f1af1c4f07adf00ca247211aa4"),
+    "trefoil_lh": (
+        "d52d8cb79ceb2e58668cba466e5f4b8cfbda90ff000fbcdeb577455d75965a0c",
+        "c37f489cb217eb6052046d2a8bca2c80660d53adeab334285194513c807eda53",
+        "a085b50471d87efdead6a19b4afa7956a5cca0e5cef046b1628cf48516ff5fe3"),
+    "trefoil_rh": (
+        "527bbb6997cb19c9c29305b1de15c5854f3f1d28e1278422fe82d4fc8043063b",
+        "0246faa3f2112293465bf472608236e209528eac46eeaf29db2b37ceec8e374a",
+        "a085b50471d87efdead6a19b4afa7956a5cca0e5cef046b1628cf48516ff5fe3"),
+    "figure8": (
+        "e303b77fbfe981f61c6f4bb0a94ec1d52671ea830b75d76ecf18375ae2eea943",
+        "69f2fad37e6cbe30a4a11dcf498f87973c865581434b8f1c60f95df441eeeb5b",
+        "f036ac60977d11d5155b8f12ee3fccb85b8aca11e4893eb73150f3f09054adeb"),
+    "5_1": (
+        "7b9f6965753a3195dff605baa7a0e8c63fa634e337bc134d734964d79ac6a106",
+        "80e52eaf2678c5e03256deb725997cb3b72045ba678d81b38afe255339bffad9",
+        "7cdb0adec86a330a5e67fc01d774c38c531cf8a58899f366ac2a804fb81ca3e4"),
+    "5_2": (
+        "9a87b700306bcbe8de43a05665ac09859b4279ea3d89bf7d97be76781b2ef4a2",
+        "3cb62dcac287d9bddbe5d00623e5129b8b4993594cfe05e58eb668c3844f8231",
+        "7cdb0adec86a330a5e67fc01d774c38c531cf8a58899f366ac2a804fb81ca3e4"),
+    "6_1": (
+        "f400de3137e4e6e6dc571fc96c3d28d89afcf9330c301fe064a651a41d5a5043",
+        "ca15dd2324b9af8455fbaa755efef2e27016ddc7de84147184a1797c970ec4b8",
+        "b06f93ef363891f44ceeebdd991827ac711025b2ac8bf74ce7b43e0798fb6691"),
+}
+for _name, _code in bundled_table():
+    for _cmd, _digest in zip((["hc0"], ["augpoly"], ["dga", "--check"]),
+                             GOLDEN_KNOTS[_name]):
+        GOLDEN.append(pytest.param(_cmd + ["--pd", _code], _digest,
+                                   id="%s-%s" % (_cmd[0], _name)))
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN)
+def test_golden_output(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, (
+        "stdout of `kch %s` changed; a deliberate change of a result "
+        "updates its pin here and says so in CHANGES.md" % " ".join(argv))
