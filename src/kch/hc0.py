@@ -3,13 +3,19 @@
 The presentation has generators a_ij (i != j) and the 2n^2 relations given
 by the entries of PsiL.A and A.PsiR.  Simplification repeatedly eliminates
 a generator that occurs linearly with a unit coefficient and nowhere else
-in the same relation; this never changes the quotient algebra.
+in the same relation; this never changes the quotient algebra.  It keeps
+its offers in a heap, finds each relation's offer and letters in one pass,
+and dedupes unit multiples within buckets of relations with equal word
+sets, so most relations are never unit-normalized.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heappop, heappush
+from itertools import chain
 
 from .dga import build_matrices
 from .ncalg import NCPoly, _word_key
@@ -72,19 +78,18 @@ def _recode(p, table):
 
 
 def _offer(rel, alive):
-    """(cost, g, u) for the smallest alive g with rel = u*g + w, u a unit
-    and g in no word of w; cost is (longest word, terms) of w.  None if
-    no generator qualifies."""
+    """(offer, letters) from one pass over rel's words: letters counts
+    each letter's occurrences, and offer is (cost, g, u) for the smallest
+    alive g with rel = u*g + w, u a unit and g in no word of w, cost being
+    (longest word, terms) of w, or None if no generator qualifies."""
     terms = rel.terms
-    singles = sorted(w[0] for w, c in terms.items()
-                     if len(w) == 1 and w[0] in alive and c.is_ring_unit())
-    for g in singles:
-        gw = (g,)
-        if any(g in w for w in terms if w != gw):
-            continue
-        longest = max((len(w) for w in terms if w != gw), default=0)
-        return (longest, len(terms) - 1), g, terms[gw]
-    return None
+    letters = Counter(chain.from_iterable(terms))
+    for g in sorted(g for g, n in letters.items()
+                    if n == 1 and g in alive and (g,) in terms):
+        if terms[(g,)].is_ring_unit():
+            longest = max((len(w) for w in terms if w != (g,)), default=0)
+            return ((longest, len(terms) - 1), g, terms[(g,)]), letters
+    return None, letters
 
 
 def _unit_key(rel):
@@ -102,33 +107,50 @@ def _unit_key(rel):
         for w, coeff in terms.items())
 
 
-def _settle(cache, holder, rels, alive):
-    """Cache (relation, _unit_key, offer, generators) for each (position,
-    relation) of rels, taken in ascending position, and keep one relation
-    per key, the one at the smallest position, so a relation that is a
-    unit multiple of another is dropped.  holder maps each key to the
-    position of its cached relation; no relation of rels may hold a key
+def _settle(cache, holder, heap, rels, alive):
+    """Cache (relation, word set, offer, letters) for each (position,
+    relation) of rels in ascending position, push (cost, position) of its
+    offer onto heap, and keep one relation per _unit_key, the one at the
+    smallest position.  A unit keeps the words, so holder maps each word
+    set to {_unit_key: position}, with None for the key of a lone
+    relation until a second one comes.  No position of rels may be cached
     yet.  Zero relations are dropped.  Returns the number of terms in the
     relations dropped as duplicates."""
     dropped = 0
     for p, rel in rels:
         if not rel:
             continue
-        key = _unit_key(rel)
-        q = holder.get(key)
-        if q is not None:
-            if q < p:
-                dropped += len(rel.terms)
-                continue
-            dropped += len(cache.pop(q)[0].terms)
-        holder[key] = p
-        cache[p] = (rel, key, _offer(rel, alive), rel.generators())
+        words = frozenset(rel.terms)
+        bucket = holder.setdefault(words, {})
+        key = None
+        if bucket:
+            if None in bucket:
+                q = bucket.pop(None)
+                bucket[_unit_key(cache[q][0])] = q
+            key = _unit_key(rel)
+            q = bucket.get(key)
+            if q is not None:
+                if q < p:
+                    dropped += len(rel.terms)
+                    continue
+                dropped += len(cache.pop(q)[0].terms)
+        bucket[key] = p
+        offer, letters = _offer(rel, alive)
+        cache[p] = (rel, words, offer, letters)
+        if offer:
+            heappush(heap, (offer[0], p))
     return dropped
 
 
-# Substituting words longer than this for a generator tends to blow up
-# the surviving relations without reducing the quotient any further.
-MAX_REPLACEMENT_WORD = 2
+def _release(cache, holder, p):
+    """Uncache the relation at position p and return it."""
+    rel, words, _, _ = cache.pop(p)
+    bucket = holder[words]
+    del bucket[next(k for k, q in bucket.items() if q == p)]
+    if not bucket:
+        del holder[words]
+    return rel
+
 
 # simplify gives up once its relations hold more terms than this in all.
 # The largest total seen on the tests and benchmark inputs is 782; R2
@@ -147,60 +169,56 @@ def simplify(pres):
     occurs in no word of w, offers the elimination g -> -u^-1*w; if
     several generators qualify, the relation offers the smallest.  Each
     step takes the offer with the smallest key (longest replacement word,
-    replacement terms, relation position, generator), drops that
-    relation, substitutes the replacement into every relation containing
-    g, and then drops zero relations and unit multiples of an earlier
-    relation.  The capped phase, which takes only replacements whose
-    words have at most MAX_REPLACEMENT_WORD letters, runs to a fixpoint
-    before the uncapped one: substituting long words turns linear
-    relations nonlinear and blocks later steps.
+    replacement terms, relation position), drops that relation,
+    substitutes the replacement into every relation containing g, and
+    then drops zero relations and unit multiples of an earlier relation.
+    The key puts short replacement words first: substituting long words
+    turns linear relations nonlinear and blocks later steps.
 
-    The loop codes letters as ints in Generator order and caches each
-    relation's unit-normal key (a hashable frozenset from _unit_key, not
-    an NCPoly), offer and generator set; after a step it recomputes these
-    only for the relations that contained g.  Raises
-    IntractableError once the relations hold more than MAX_RELATION_TERMS
-    terms."""
+    The loop codes letters as ints in Generator order.  _settle caches
+    each relation's offer and letter counts, found in one pass over its
+    words, and computes a _unit_key only where two relations share a word
+    set.  A heap holds (cost, position) of every offer; an entry whose
+    relation has since been dropped or changed its offer is skipped.
+    After a step only the relations that contained g are settled again:
+    no other offer changes.  Raises IntractableError once the relations
+    hold more than MAX_RELATION_TERMS terms."""
     letters = sorted(set(pres.generators).union(
         *(r.generators() for r in pres.relations)))
     code = {g: k for k, g in enumerate(letters)}
     alive = {code[g] for g in pres.generators}
-    cache = {}   # position -> (relation, key, offer, generators)
-    holder = {}  # unit-normal key -> position of the relation kept for it
+    cache = {}   # position -> (relation, word set, offer, letter counts)
+    holder = {}  # word set -> {_unit_key or None: position}
+    heap = []    # (cost, position) of every offer made, some since stale
     size = sum(len(r.terms) for r in pres.relations)  # terms held
-    size -= _settle(cache, holder, [(p, _recode(r, code))
-                                    for p, r in enumerate(pres.relations)],
-                    alive)
+    size -= _settle(cache, holder, heap,
+                    [(p, _recode(r, code))
+                     for p, r in enumerate(pres.relations)], alive)
     log = []
-    for cap in (MAX_REPLACEMENT_WORD, None):
-        while True:
-            best = min(((offer[0], p) for p, (_, _, offer, _) in cache.items()
-                        if offer is not None
-                        and (cap is None or offer[0][0] <= cap)),
-                       default=None)
-            if best is None:
-                break
-            rel, key, (_, g, u), _ = cache.pop(best[1])
-            del holder[key]
-            size -= len(rel.terms)
-            k = -u.inverse_unit()
-            replacement = NCPoly({w: c * k for w, c in rel.terms.items()
-                                  if w != (g,)})
-            touched = sorted(p for p, entry in cache.items() if g in entry[3])
-            changed = []
-            for p in touched:
-                rel, key, _, _ = cache.pop(p)
-                del holder[key]
-                new = rel.substitute(g, replacement)
-                size += len(new.terms) - len(rel.terms)
-                if size > MAX_RELATION_TERMS:
-                    raise IntractableError(
-                        "simplify: %d relation terms exceed the bound %d"
-                        % (size, MAX_RELATION_TERMS))
-                changed.append((p, new))
-            alive.discard(g)
-            log.append((letters[g], _recode(replacement, letters)))
-            size -= _settle(cache, holder, changed, alive)
+    while heap:
+        cost, p = heappop(heap)
+        offer = cache[p][2] if p in cache else None
+        if offer is None or offer[0] != cost:
+            continue
+        _, g, u = offer
+        rel = _release(cache, holder, p)
+        size -= len(rel.terms)
+        replacement = NCPoly({w: c for w, c in rel.terms.items()
+                              if w != (g,)}) * -u.inverse_unit()
+        touched = sorted(q for q, entry in cache.items() if g in entry[3])
+        changed = []
+        for q in touched:
+            rel = _release(cache, holder, q)
+            new = rel.substitute(g, replacement)
+            size += len(new.terms) - len(rel.terms)
+            if size > MAX_RELATION_TERMS:
+                raise IntractableError(
+                    "simplify: %d relation terms exceed the bound %d"
+                    % (size, MAX_RELATION_TERMS))
+            changed.append((q, new))
+        alive.discard(g)
+        log.append((letters[g], _recode(replacement, letters)))
+        size -= _settle(cache, holder, heap, changed, alive)
     return Presentation(
         generators=[g for g in sorted(set(pres.generators))
                     if code[g] in alive],

@@ -9,11 +9,12 @@ Python ints, hence arbitrary precision.
 Values are immutable: every operation builds a new ``LaurentPoly`` and no
 code writes to ``.terms`` after construction, so one value may be shared
 by many containers.  ``LaurentPoly.const(1)`` and ``const(-1)`` return the
-shared module constants ``ONE`` and ``MINUS_ONE``, and negation maps each
-to the other; ``ncalg`` skips the Laurent product and negation when a
-coefficient ``is`` one of them, and cancels ONE against MINUS_ONE.  The
-shortcuts test identity, so an unshared 1 (``LaurentPoly({(0, 0): 1})``)
-is just as correct, only slower.
+shared module constants ``ONE`` and ``MINUS_ONE``; negation maps each to
+the other and ``inverse_unit`` each to itself.  ``ncalg`` skips the Laurent
+product and negation when a coefficient ``is`` one of them, and cancels
+ONE against MINUS_ONE.  The shortcuts test identity, so an unshared 1
+(``LaurentPoly({(0, 0): 1})``) is just as correct, only slower.  A product
+with a one-term factor (a monomial) shifts and scales the other factor.
 
 Exact division has one kernel, ``_quotient``: it strips both sides to least
 exponents 0, so that l and m divide neither, and divides in Z[l, m] by
@@ -139,9 +140,17 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        a, b = self.terms, other.terms
         out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {}
-        _mul_into(out.terms, self.terms, other.terms, 1)
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            ((i, j), c), = b.items()
+            out.terms = {(ai + i, aj + j): ac * c
+                         for (ai, aj), ac in a.items()}
+        else:
+            out.terms = {}
+            _mul_into(out.terms, a, b, 1)
         return out
 
     __rmul__ = __mul__
@@ -173,7 +182,7 @@ class LaurentPoly:
             raise ValueError("not a unit of the Laurent ring: %s"
                              % render(self))
         c, i, j = self.as_unit()
-        return LaurentPoly.unit(c, -i, -j)
+        return LaurentPoly.unit(c, -i, -j) if i or j else LaurentPoly.const(c)
 
     def min_exponents(self):
         if not self.terms:

@@ -8,11 +8,12 @@ graded Leibniz rule  d(uv) = d(u)v + (-1)^{deg u} u d(v).
 Most coefficients of the framed DGA are the shared constants ``ONE`` and
 ``MINUS_ONE`` of ``laurent`` (``NCPoly.gen`` and ``NCPoly.scalar`` use
 them).  Three kernels skip the Laurent call when a factor ``is`` one of
-them: ``_mul_into`` (every NCPoly and NCMatrix product) takes the other
-factor or its negation, ``Derivation.apply`` does the same for the
-Leibniz rule's image coefficient times sign, and ``_accumulate`` deletes
-a term where ONE meets MINUS_ONE.  The tests are by identity, so an
-unshared 1 takes the generic path and gives the same result.
+them: ``_mul_into`` (every NCPoly and NCMatrix product, and each splice
+of ``NCPoly.substitute``) takes the other factor or its negation,
+``Derivation.apply`` does the same for the Leibniz rule's image
+coefficient times sign, and ``_accumulate`` deletes a term where ONE
+meets MINUS_ONE.  The tests are by identity, so an unshared 1 takes the
+generic path and gives the same result.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ class NCPoly:
     def substitute(self, g, replacement):
         """Replace every occurrence of generator g by the given NCPoly,
         splicing the replacement's words into each word that contains g."""
-        rterms = list(replacement.terms.items())
+        rterms = replacement.terms
         t = {}
         for w, c in self.terms.items():
             if g not in w:
@@ -208,9 +209,8 @@ class NCPoly:
             for k, end in zip(cuts, cuts[1:] + [len(w)]):
                 tail = w[k + 1:end]
                 spliced = {}
-                for pw, pc in parts.items():
-                    for rw, rc in rterms:
-                        _accumulate(spliced, pw + rw + tail, pc * rc)
+                _mul_into(spliced, parts, rterms if not tail else
+                          {rw + tail: rc for rw, rc in rterms.items()})
                 parts = spliced
             for pw, pc in parts.items():
                 _accumulate(t, pw, pc)

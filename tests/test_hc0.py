@@ -10,9 +10,9 @@ import kch.augment
 import kch.hc0
 from kch.dga import build_dga
 from kch.diagram import apply_move, available_moves, crossing_data
-from kch.hc0 import (MAX_REPLACEMENT_WORD, IntractableError, Presentation,
-                     _unit_key, extract_presentation, relation_presentation,
-                     replay_log, simplify)
+from kch.hc0 import (IntractableError, Presentation, _settle, _unit_key,
+                     extract_presentation, relation_presentation, replay_log,
+                     simplify)
 from kch.knots import bundled_knot, bundled_table
 from kch.laurent import LaurentPoly
 from kch.ncalg import Generator, NCPoly, nc_unit_normalize
@@ -125,7 +125,11 @@ def test_simplify_size_budget(monkeypatch):
 
 def _simplify_by_rescanning(pres):
     """Reference for simplify: every step rescans and re-normalizes every
-    relation, and substitutes into every relation that contains g."""
+    relation, and substitutes into every relation that contains g.  It
+    keeps the older two-phase rule, a phase that takes only replacements
+    of words of at most two letters before an uncapped one; simplify runs
+    one uncapped loop, which picks the same, since its key puts the
+    longest replacement word first."""
 
     def offer(rel, alive):
         for g in alive:
@@ -149,7 +153,7 @@ def _simplify_by_rescanning(pres):
     relations = list(pres.relations)
     log = list(pres.substitution_log)
     alive = sorted(set(pres.generators))
-    for cap in (MAX_REPLACEMENT_WORD, None):
+    for cap in (2, None):
         changed = True
         while changed:
             changed = False
@@ -204,11 +208,94 @@ def test_simplify_matches_reference_on_bundled_knots(name):
 
 @pytest.mark.parametrize("name, n, seed", [
     ("figure8", 8, 1), ("trefoil_lh", 7, 2), ("5_2", 7, 3), ("unknot", 7, 4),
+    ("figure8", 10, 5), ("6_1", 8, 6),
 ])
 def test_simplify_matches_reference_on_r2_inflations(name, n, seed):
     pd = _inflated(name, n, seed)
     assert pd.n == n
     _assert_same_as_reference(extract_presentation(crossing_data(pd)))
+
+
+def test_simplify_keys_only_relations_that_share_a_word_set(monkeypatch):
+    # a unit multiple has its relation's word set, so _settle needs a
+    # _unit_key only where two relations share one: far fewer than settled
+    keys, settled = [], []
+    unit_key, settle = kch.hc0._unit_key, kch.hc0._settle
+
+    def counting_key(rel):
+        keys.append(rel)
+        return unit_key(rel)
+
+    def counting_settle(cache, holder, heap, rels, alive):
+        settled.extend(rel for _, rel in rels if rel)
+        return settle(cache, holder, heap, rels, alive)
+
+    monkeypatch.setattr(kch.hc0, "_unit_key", counting_key)
+    monkeypatch.setattr(kch.hc0, "_settle", counting_settle)
+    simplify(extract_presentation(crossing_data(_inflated("figure8", 10, 1))))
+    assert len(settled) > 1000
+    assert 4 * len(keys) < len(settled)
+
+
+# relations over int letters, as _settle sees them; _X and _Y share their
+# word set without being unit multiples of each other
+_X = NCPoly({(0,): LaurentPoly.const(1), (1, 2): L()})
+_Y = NCPoly({(0,): LaurentPoly.const(1), (1, 2): M()})
+_X_UNIT = _X * LaurentPoly.unit(-1, 2, -1)
+
+
+def _settled(*batches):
+    """cache, holder, heap and the dropped-term counts after settling
+    batches of (position, relation) in turn, with every letter alive."""
+    cache, holder, heap = {}, {}, []
+    dropped = [_settle(cache, holder, heap, batch, {0, 1, 2})
+               for batch in batches]
+    return cache, holder, heap, dropped
+
+
+def test_settle_keeps_relations_that_share_words_but_not_a_unit():
+    cache, holder, heap, dropped = _settled([(0, _X), (1, _Y)])
+    assert dropped == [0]
+    assert [(p, entry[0]) for p, entry in cache.items()] == [(0, _X), (1, _Y)]
+    assert holder == {frozenset(_X.terms): {_unit_key(_X): 0,
+                                            _unit_key(_Y): 1}}
+    assert sorted(heap) == [((2, 1), 0), ((2, 1), 1)]
+
+
+def test_settle_keys_a_lone_word_set_lazily():
+    cache, holder, heap, dropped = _settled([(0, _X)], [(1, NCPoly.gen(0))])
+    assert dropped == [0, 0]
+    assert holder == {frozenset(_X.terms): {None: 0},
+                      frozenset({(0,)}): {None: 1}}
+    rel, words, offer, letters = cache[0]
+    assert (rel, words) == (_X, frozenset(_X.terms))
+    assert offer == ((2, 1), 0, LaurentPoly.const(1))
+    assert letters == {0: 1, 1: 1, 2: 1}
+    assert sorted(heap) == [((0, 0), 1), ((2, 1), 0)]
+
+
+def test_settle_drops_a_unit_multiple_at_a_larger_position():
+    cache, holder, heap, dropped = _settled([(0, _X), (1, _X_UNIT)])
+    assert dropped == [2]
+    assert list(cache) == [0] and cache[0][0] is _X
+    assert holder == {frozenset(_X.terms): {_unit_key(_X): 0}}
+
+
+def test_settle_evicts_a_unit_multiple_at_a_larger_position():
+    cache, holder, heap, dropped = _settled([(5, _X), (7, _Y)],
+                                            [(2, _X_UNIT)])
+    assert dropped == [0, 2]
+    assert sorted(cache) == [2, 7] and cache[2][0] is _X_UNIT
+    assert holder == {frozenset(_X.terms): {_unit_key(_X): 2,
+                                            _unit_key(_Y): 7}}
+
+
+def test_settle_drops_zero_relations():
+    cache, holder, heap, dropped = _settled([(0, NCPoly.zero()), (1, _X)],
+                                            [(2, _X - _X)])
+    assert dropped == [0, 0]
+    assert list(cache) == [1]
+    assert holder == {frozenset(_X.terms): {None: 1}}
 
 
 def test_simplify_never_eliminates_unlisted_generators():

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kch.laurent import (LaurentPoly, UniPoly, _quotient, divides,
-                         pairwise_resultants, parse_poly, render, resultant,
-                         sylvester_matrix, unit_normalize)
+from kch.laurent import (MINUS_ONE, ONE, LaurentPoly, UniPoly, _mul_into,
+                         _quotient, divides, pairwise_resultants, parse_poly,
+                         render, resultant, sylvester_matrix, unit_normalize)
 
 L = LaurentPoly.lam
 M = LaurentPoly.mu
@@ -96,6 +96,39 @@ _polys = st.dictionaries(
 @given(_polys)
 def test_parse_render_round_trip_random(p):
     assert parse_poly(render(p)) == p
+
+
+_units = st.builds(LaurentPoly.unit, st.sampled_from([1, -1]),
+                   st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_units, st.booleans())
+def test_inverse_unit_keeps_the_shared_constants(u, shared):
+    c, i, j = u.as_unit()
+    if not shared:
+        u = LaurentPoly(dict(u.terms))
+    inv = u.inverse_unit()
+    assert inv == LaurentPoly.unit(c, -i, -j)
+    assert u * inv == C(1)
+    if not i and not j:
+        assert inv is (ONE if c == 1 else MINUS_ONE)
+
+
+def _generic_product(a, b):
+    acc = {}
+    _mul_into(acc, a.terms, b.terms, 1)
+    return list(acc.items())
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_polys, st.builds(LaurentPoly.unit,
+                         st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                         st.integers(-5, 5), st.integers(-5, 5)))
+def test_one_term_product_matches_generic(p, mono):
+    # the one-term path gives the generic product's terms in its key order
+    assert list((p * mono).terms.items()) == _generic_product(p, mono)
+    assert list((mono * p).terms.items()) == _generic_product(mono, p)
 
 
 def test_parse_rejects_garbage():

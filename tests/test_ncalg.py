@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kch.dga import build_dga
 from kch.diagram import crossing_data
@@ -341,3 +343,18 @@ def test_unit_shortcuts_match_generic_arithmetic(seed):
             == _exact(_leibniz_by_products(ud, _unshared(x)))
     assert _snapshot(p, q, a, b, *d.images.values()) == before
     assert ONE.terms == {(0, 0): 1} and MINUS_ONE.terms == {(0, 0): -1}
+
+
+_mixed_polys = st.dictionaries(
+    st.lists(st.sampled_from(_LETTERS), max_size=3).map(tuple),
+    st.sampled_from(_MIXED_COEFFS + [ONE, MINUS_ONE] * 3),
+    max_size=5).map(NCPoly)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_mixed_polys, _mixed_polys, st.sampled_from(_LETTERS))
+def test_substitute_shortcuts_match_unshared_coefficients(p, r, g):
+    # shared ONE and MINUS_ONE take substitute's shortcuts; unshared
+    # copies of them take the Laurent products, to the same terms
+    assert _exact(p.substitute(g, r)) \
+        == _exact(_unshared(p).substitute(g, _unshared(r)))
