@@ -2,7 +2,9 @@
 
 Conventions.  A crossing ``X[a,b,c,d]`` lists the four incident edge labels
 counterclockwise starting from the incoming under-edge ``a``; edge labels
-run 1..2n consecutively along the knot's orientation.  The sign of a
+run 1..2n consecutively along the knot's orientation, so the strand
+through edge x enters along pred(x) and leaves along succ(x) (``r3``
+rebuilds its triangle from this alone).  The sign of a
 crossing is +1 iff rotating the oriented over-strand direction
 counterclockwise by 90 degrees yields the oriented under-strand direction;
 in label terms the over-strand enters at position d for a positive
@@ -229,7 +231,7 @@ def parse_pd(text):
     if s.startswith("{"):
         try:
             obj = json.loads(s)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an int past Python's digit limit
             raise DiagramError("bad JSON PD code: %s" % exc) from None
         if not isinstance(obj, dict) or "crossings" not in obj:
             raise DiagramError('JSON PD code needs a "crossings" key')
@@ -248,8 +250,11 @@ def parse_pd(text):
     if not m:
         raise DiagramError("PD code must look like PD[X[a,b,c,d],...]")
     body = m.group(1)
-    crossings = [tuple(int(g) for g in xm.groups())
-                 for xm in _X_RE.finditer(body)]
+    try:
+        crossings = [tuple(int(g) for g in xm.groups())
+                     for xm in _X_RE.finditer(body)]
+    except ValueError:  # a label past Python's int-string digit limit
+        raise DiagramError("edge label too long in PD code") from None
     leftover = _X_RE.sub("", body).replace(",", "")
     if leftover or not crossings:
         raise DiagramError("malformed PD code: %r" % text)
@@ -442,87 +447,36 @@ def r2_remove(pd, face_index):
 
 
 def r3(pd, face_index):
-    """Slide a strand across a crossing (triangle move)."""
+    """Slide a strand across a crossing (triangle move).
+
+    The strand of a triangle side x runs pred(x) -> x -> succ(x) and meets
+    its two triangle crossings in the opposite order after the move."""
     faces = pd.faces()
     if not 0 <= face_index < len(faces):
         raise MoveError("face index %r out of range" % (face_index,))
     face = faces[face_index]
     if len(face) != 3:
         raise MoveError("face %d is not a triangle" % face_index)
-    ed = pd.edge_darts()
-
-    def alpha(t):
-        d1, d2 = ed[pd.crossings[t[0]][t[1]]]
-        return d2 if t == d1 else d1
-
-    darts = list(face)
-    labels = [pd.crossings[ci][pos] for ci, pos in darts]
-    crossings = [t[0] for t in darts]
-    if len(set(labels)) != 3 or len(set(crossings)) != 3:
+    labels = [pd.crossings[ci][pos] for ci, pos in face]
+    if len(set(labels)) != 3 or len({ci for ci, _ in face}) != 3:
         raise MoveError("degenerate triangle")
-
-    # strand k runs along triangle side labels[k], from crossing
-    # crossings[k] to crossings[(k+1) % 3]
-    strands = []
-    for k in range(3):
-        t = darts[k]
-        at = alpha(t)
-        x = labels[k]
-        # orientation of x: tail dart is where x leaves its crossing
-        if pd.is_head(*t):
-            tail_dart, head_dart = at, t
-        else:
-            tail_dart, head_dart = t, at
-
-        def through(dart, incoming):
-            ci, pos = dart
-            a, b, c, d = pd.crossings[ci]
-            if pos in (0, 2):
-                return a if incoming else c
-            oi = pd.over_in_slot(ci)
-            return pd.crossings[ci][oi] if incoming \
-                else pd.crossings[ci][oi ^ 2]
-
-        u = through(tail_dart, incoming=True)    # edge entering tail crossing
-        w = through(head_dart, incoming=False)   # edge leaving head crossing
-        strands.append({
-            "mid": x, "prev": u, "next": w,
-            "tail_crossing": tail_dart[0], "head_crossing": head_dart[0],
-            "over_at": {tail_dart[0]: tail_dart[1] % 2 == 1,
-                        head_dart[0]: head_dart[1] % 2 == 1},
-        })
-
-    # each triangle crossing joins strands k and (k+1) % 3
-    new_crossings = dict()
-    for k in range(3):
-        ci = crossings[(k + 1) % 3]
-        s1, s2 = strands[k], strands[(k + 1) % 3]
-        over1 = s1["over_at"][ci]
-        over2 = s2["over_at"][ci]
-        if over1 == over2:
-            raise MoveError("inconsistent over/under data at triangle")
-        eps = pd.sign(ci)
-
-        def new_pair(s):
-            # strand meets this crossing in the opposite order after the move
-            if ci == s["head_crossing"]:
-                return (s["prev"], s["mid"])
-            return (s["mid"], s["next"])
-
-        under, over = (s2, s1) if over1 else (s1, s2)
-        uin, uout = new_pair(under)
-        oin, oout = new_pair(over)
-        if eps == 1:
-            new_crossings[ci] = (uin, oout, uout, oin)
-        else:
-            new_crossings[ci] = (uin, oin, uout, oout)
-
+    ed = pd.edge_darts()
+    pairs = {}  # crossing -> {0: under (in, out), 1: over (in, out)}
+    for x in labels:
+        pred, succ = (x - 2) % pd.num_edges + 1, pd.succ(x)
+        for ci, pos in ed[x]:
+            pair = (pred, x) if pd.is_head(ci, pos) else (x, succ)
+            pairs.setdefault(ci, {})[pos % 2] = pair
+    if any(len(p) != 2 for p in pairs.values()):
+        raise MoveError("inconsistent over/under data at triangle")
     # level check: one strand over at both its crossings, one under at both
-    overcounts = sorted(sum(s["over_at"].values()) for s in strands)
-    if overcounts != [0, 1, 2]:
+    if sorted(sum(pos % 2 for _, pos in ed[x]) for x in labels) != [0, 1, 2]:
         raise MoveError("triangle strands are not level-ordered")
-
-    out = [new_crossings.get(ci, pd.crossings[ci]) for ci in range(pd.n)]
+    out = list(pd.crossings)
+    for ci, p in pairs.items():
+        (uin, uout), (oin, oout) = p[0], p[1]
+        out[ci] = ((uin, oout, uout, oin) if pd.sign(ci) == 1
+                   else (uin, oin, uout, oout))
     try:
         return PDCode(out)
     except DiagramError as exc:
@@ -546,28 +500,26 @@ def apply_move(pd, move):
     raise MoveError("unknown move %r" % (kind,))
 
 
-def available_moves(pd, include_adds=True):
+def available_moves(pd):
     """Enumerate applicable move specs (deterministic order)."""
     out = []
-    if include_adds:
-        for e in range(1, pd.num_edges + 1):
-            for s in (1, -1):
-                out.append({"move": "r1_add", "edge": e, "sign": s})
+    for e in range(1, pd.num_edges + 1):
+        for s in (1, -1):
+            out.append({"move": "r1_add", "edge": e, "sign": s})
     if pd.n > 1:
         for ci in range(pd.n):
             if len(set(pd.crossings[ci])) < 4:
                 out.append({"move": "r1_remove", "crossing": ci + 1})
     faces = pd.faces()
-    if include_adds:
-        for face in faces:
-            labels = sorted({pd.crossings[ci][pos] for ci, pos in face})
-            for e in labels:
-                for f in labels:
-                    if e == f:
-                        continue
-                    for chi in (1, -1):
-                        out.append({"move": "r2_add", "over": e, "under": f,
-                                    "chirality": chi})
+    for face in faces:
+        labels = sorted({pd.crossings[ci][pos] for ci, pos in face})
+        for e in labels:
+            for f in labels:
+                if e == f:
+                    continue
+                for chi in (1, -1):
+                    out.append({"move": "r2_add", "over": e, "under": f,
+                                "chirality": chi})
     for fi, face in enumerate(faces):
         if len(face) == 2:
             try:

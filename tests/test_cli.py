@@ -43,11 +43,19 @@ def test_parse(capsys):
     assert code == 0 and json.loads(out) == rep
 
 
-def test_parse_bad_pd_exit_2(capsys):
-    code, out, err = run_cli(capsys, "parse", "--pd", "PD[X[1,2,3]]")
+# a label past Python's 4300-digit int-string limit is an input error too
+HUGE_LABEL = "9" * 5000
+
+
+@pytest.mark.parametrize("pd", [
+    "PD[X[1,2,3]]",
+    pytest.param("PD[X[%s,2,3,4]]" % HUGE_LABEL, id="5000-digit-label"),
+])
+def test_parse_bad_pd_exit_2(capsys, pd):
+    code, out, err = run_cli(capsys, "parse", "--pd", pd)
     assert code == 2
     assert out == ""
-    assert "kch:" in err
+    assert err.startswith("kch: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("pd", [
@@ -57,6 +65,8 @@ def test_parse_bad_pd_exit_2(capsys):
     '{"crossings": [[1.5, 1, 2, 2]]}',
     '{"crossings": [[true, 1, 2, 2]]}',
     '{"crossings": [[1, 1, 2]]}',
+    pytest.param('{"crossings": [[%s, 2, 3, 4]]}' % HUGE_LABEL,
+                 id="5000-digit-label"),
 ])
 def test_parse_malformed_json_crossings_exit_2(capsys, pd):
     code, out, err = run_cli(capsys, "parse", "--pd", pd)

@@ -1,10 +1,13 @@
 """Tests for PD codes, crossing data and Reidemeister moves."""
 
+import functools
+import hashlib
 import json
 import random
 
 import pytest
 
+from kch.augment import aug_signature
 from kch.diagram import (DiagramError, MoveError, PDCode, apply_move,
                          available_moves, crossing_data, mirror, parse_pd,
                          r1_add, r1_remove, r2_add, r2_remove, r3, renumber,
@@ -219,6 +222,55 @@ def test_r3_preserves_crossing_count_and_signs():
         if hits >= 5:
             break
     assert hits >= 5
+
+
+@functools.lru_cache(maxsize=None)
+def _r3_probe():
+    """Each bundled knot plus five seeded walks of four R1/R2 additions
+    from it; returns every diagram met and its r3 outcome per face."""
+    rng = random.Random(5)
+    out = []
+    for _, code in bundled_table():
+        walk = [parse_pd(code)]
+        for _ in range(5):
+            cur = walk[0]
+            for _ in range(4):
+                adds = [m for m in available_moves(cur)
+                        if m["move"] in ("r1_add", "r2_add")]
+                cur = apply_move(cur, rng.choice(adds))
+                walk.append(cur)
+        for pd in walk:
+            results = []
+            for fi in range(len(pd.faces())):
+                try:
+                    results.append(r3(pd, fi))
+                except MoveError as exc:
+                    results.append(str(exc))
+            out.append((pd, results))
+    return out
+
+
+def test_r3_output_pinned():
+    sites = [(fi, res.crossings if isinstance(res, PDCode) else res)
+             for _, results in _r3_probe() for fi, res in enumerate(results)]
+    moves = sum(isinstance(res, list) for _, res in sites)
+    assert len(sites) >= 1000 and moves >= 40
+    assert hashlib.sha256(repr(sites).encode()).hexdigest() == (
+        "80ce0286c2db495d9b7655a59f46403093b46642bc071550cae4ae232500744e"
+    ), "r3's moves or refusals changed on the seeded probe"
+
+
+def test_r3_round_trip():
+    sites = [(pd, res) for pd, results in _r3_probe()
+             for res in results if isinstance(res, PDCode)]
+    assert len(sites) >= 40
+    for pd, pd2 in sites:
+        assert pd2 != pd and pd2.n == pd.n
+        assert any(r3(pd2, m["face"]) == pd for m in available_moves(pd2)
+                   if m["move"] == "r3")
+    # signatures are costly on the larger diagrams: every fourth small site
+    for pd, pd2 in [s for s in sites if s[0].n <= 8][::4]:
+        assert aug_signature(pd2, [2, 3]) == aug_signature(pd, [2, 3])
 
 
 def test_apply_move_unknown():
