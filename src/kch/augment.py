@@ -194,12 +194,10 @@ def count_augmentations(pres, p, max_prime=DEFAULT_MAX_PRIME,
     return AugTable(p=p, counts=tuple(zip(points, counts)))
 
 
-def aug_signature(pd, primes, max_prime=DEFAULT_MAX_PRIME,
-                  max_generators=DEFAULT_MAX_GENERATORS):
-    """Per-prime tables of the diagram: Run(pd).signature(...)."""
+def aug_signature(pd, primes):
+    """Per-prime tables of the diagram: Run(pd).signature(primes)."""
     from .pipeline import Run  # pipeline imports this module
-    return Run(pd).signature(primes, max_prime=max_prime,
-                             max_generators=max_generators)
+    return Run(pd).signature(primes)
 
 
 def distinguish(s1, s2):

@@ -12,6 +12,8 @@ crossing and at position b for a negative one.
 
 Diagram components ("arcs") are maximal runs of edges uninterrupted by
 undercrossings; there are n of them, numbered by smallest edge label.
+Every move ``available_moves`` lists yields a planar diagram (``len(faces())
+== n + 2``); R2 takes the one planar chirality from the face it crosses.
 """
 
 from __future__ import annotations
@@ -382,40 +384,39 @@ def r1_remove(pd, crossing):
     return _remove_crossings(pd, [ci])
 
 
-def _shared_face_side(pd, e, f):
-    """Find a face bordered by both edges; return (face, s_f) where s_f is
-    +1 if the face lies on the left of f's orientation."""
-    for face in pd.faces():
-        labels = [pd.crossings[ci][pos] for ci, pos in face]
-        if e in labels and f in labels:
-            t = face[labels.index(f)]
-            s_f = 1 if pd.is_head(*t) else -1
-            return face, s_f
-    raise MoveError("edges %d and %d do not share a face" % (e, f))
+def _face_sides(pd, face):
+    """Edge label -> +1 if the face lies on the left of its orientation,
+    else -1 (an edge's first dart on the face wins)."""
+    return {pd.crossings[ci][pos]: 1 if pd.is_head(ci, pos) else -1
+            for ci, pos in reversed(face)}
 
 
-def r2_add(pd, edge_over, edge_under, chirality=1):
-    """Push edge_over across a shared face and over edge_under."""
-    e, f = edge_over, edge_under
+def _r2_sides(pd, e, f):
+    """(s_e, s_f) on the first face bordered by both edges."""
     if e == f:
         raise MoveError("R2 needs two distinct edges")
-    for x in (e, f):
-        if not 1 <= x <= pd.num_edges:
-            raise MoveError("edge %r out of range" % (x,))
-    if chirality not in (1, -1):
-        raise MoveError("chirality must be +1 or -1")
-    _, s_f = _shared_face_side(pd, e, f)
+    for face in pd.faces():
+        sides = _face_sides(pd, face)
+        if e in sides and f in sides:
+            return sides[e], sides[f]
+    raise MoveError("edges %r and %r do not share a face" % (e, f))
+
+
+def r2_add(pd, edge_over, edge_under):
+    """Push edge_over across a shared face and over edge_under, in the one
+    chirality that keeps the diagram planar: -s_e*s_f, read off the face."""
+    e, f = edge_over, edge_under
+    s_e, s_f = _r2_sides(pd, e, f)
     E = e + 2 * (f < e)
     F = f + 2 * (e < f)
     out = _split_edges(pd, [e, f])
     table = {
-        (1, 1):  ((F, E + 1, F + 1, E), (F + 1, E + 1, F + 2, E + 2)),
-        (1, -1): ((F + 1, E + 1, F + 2, E), (F, E + 1, F + 1, E + 2)),
+        (1, 1): ((F + 1, E + 1, F + 2, E), (F, E + 1, F + 1, E + 2)),
+        (1, -1): ((F, E + 1, F + 1, E), (F + 1, E + 1, F + 2, E + 2)),
         (-1, 1): ((F, E, F + 1, E + 1), (F + 1, E + 2, F + 2, E + 1)),
         (-1, -1): ((F + 1, E, F + 2, E + 1), (F, E + 2, F + 1, E + 1)),
     }
-    p, q = table[(s_f, chirality)]
-    out.extend([p, q])
+    out.extend(table[(s_f, s_e)])
     return PDCode(out)
 
 
@@ -491,8 +492,11 @@ def apply_move(pd, move):
     if kind == "r1_remove":
         return r1_remove(pd, move["crossing"])
     if kind == "r2_add":
-        return r2_add(pd, move["over"], move["under"],
-                      move.get("chirality", 1))
+        s_e, s_f = _r2_sides(pd, move["over"], move["under"])
+        if move.get("chirality", -s_e * s_f) != -s_e * s_f:
+            raise MoveError("this R2 is planar only with chirality %d"
+                            % (-s_e * s_f))
+        return r2_add(pd, move["over"], move["under"])
     if kind == "r2_remove":
         return r2_remove(pd, move["face"])
     if kind == "r3":
@@ -511,13 +515,13 @@ def available_moves(pd):
             if len(set(pd.crossings[ci])) < 4:
                 out.append({"move": "r1_remove", "crossing": ci + 1})
     faces = pd.faces()
+    chirality = {}  # r2_add reads the first face the two edges share
     for face in faces:
-        labels = sorted({pd.crossings[ci][pos] for ci, pos in face})
-        for e in labels:
-            for f in labels:
-                if e == f:
-                    continue
-                for chi in (1, -1):
+        sides = _face_sides(pd, face)
+        for e in sorted(sides):
+            for f in sorted(sides):
+                if e != f:
+                    chi = chirality.setdefault((e, f), -sides[e] * sides[f])
                     out.append({"move": "r2_add", "over": e, "under": f,
                                 "chirality": chi})
     for fi, face in enumerate(faces):

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .augment import (DEFAULT_MAX_GENERATORS, DEFAULT_MAX_PRIME, Signature,
-                      count_augmentations)
+from .augment import DEFAULT_MAX_GENERATORS, Signature, count_augmentations
 from .augpoly import augmentation_polynomial
 from .dga import build_dga
 from .diagram import crossing_data
@@ -48,11 +47,9 @@ class Run:
     def augpoly(self):
         return augmentation_polynomial(self.simplified)
 
-    def signature(self, primes, max_prime=DEFAULT_MAX_PRIME,
-                  max_generators=DEFAULT_MAX_GENERATORS):
+    def signature(self, primes, max_generators=DEFAULT_MAX_GENERATORS):
         """Augmentation tables of the simplified presentation per prime."""
         pres = self.simplified
         return Signature(primes=tuple(primes), tables=tuple(
-            count_augmentations(pres, p, max_prime=max_prime,
-                                max_generators=max_generators)
+            count_augmentations(pres, p, max_generators=max_generators)
             for p in primes))

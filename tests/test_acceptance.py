@@ -190,7 +190,7 @@ def test_07_diagram_invariance():
         check("renumber", renumber(pd, perm, 1))
         check("basepoint", renumber(pd, list(range(pd.n)),
                                     min(3, 2 * pd.n)))
-        # R2 in both chiralities
+        # R2 at the first and last two listed sites, chirality from the face
         r2s = [m for m in available_moves(pd) if m["move"] == "r2_add"]
         for mv in r2s[:2] + r2s[-2:]:
             check("r2 %s" % mv, apply_move(pd, mv))

@@ -225,28 +225,37 @@ def test_r3_preserves_crossing_count_and_signs():
 
 
 @functools.lru_cache(maxsize=None)
-def _r3_probe():
-    """Each bundled knot plus five seeded walks of four R1/R2 additions
-    from it; returns every diagram met and its r3 outcome per face."""
-    rng = random.Random(5)
+def _walk_probe(seed, walks):
+    """Each bundled knot followed by every diagram met on `walks` seeded
+    walks of four R1/R2 additions from it."""
+    rng = random.Random(seed)
     out = []
     for _, code in bundled_table():
-        walk = [parse_pd(code)]
-        for _ in range(5):
-            cur = walk[0]
+        base = parse_pd(code)
+        out.append(base)
+        for _ in range(walks):
+            cur = base
             for _ in range(4):
                 adds = [m for m in available_moves(cur)
                         if m["move"] in ("r1_add", "r2_add")]
                 cur = apply_move(cur, rng.choice(adds))
-                walk.append(cur)
-        for pd in walk:
-            results = []
-            for fi in range(len(pd.faces())):
-                try:
-                    results.append(r3(pd, fi))
-                except MoveError as exc:
-                    results.append(str(exc))
-            out.append((pd, results))
+                out.append(cur)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _r3_probe():
+    """Every diagram of the seeded walk probe with its r3 outcome per
+    face."""
+    out = []
+    for pd in _walk_probe(5, 5):
+        results = []
+        for fi in range(len(pd.faces())):
+            try:
+                results.append(r3(pd, fi))
+            except MoveError as exc:
+                results.append(str(exc))
+        out.append((pd, results))
     return out
 
 
@@ -254,10 +263,35 @@ def test_r3_output_pinned():
     sites = [(fi, res.crossings if isinstance(res, PDCode) else res)
              for _, results in _r3_probe() for fi, res in enumerate(results)]
     moves = sum(isinstance(res, list) for _, res in sites)
-    assert len(sites) >= 1000 and moves >= 40
+    assert len(sites) >= 1000 and moves >= 80
     assert hashlib.sha256(repr(sites).encode()).hexdigest() == (
-        "80ce0286c2db495d9b7655a59f46403093b46642bc071550cae4ae232500744e"
+        "9c0592db2139b768f7d020b6108c9f9a0cdd03fce00f468c0c4250958ce9ed63"
     ), "r3's moves or refusals changed on the seeded probe"
+
+
+def test_every_listed_move_builds_a_diagram():
+    # V - E + F = 2: each move keeps the diagram planar, and an R2 spec
+    # naming the other chirality is refused
+    for pd in _walk_probe(3, 1):
+        for mv in available_moves(pd):
+            out = apply_move(pd, mv)
+            assert len(out.faces()) == out.n + 2, (pd, mv)
+            if mv["move"] == "r2_add":
+                with pytest.raises(MoveError):
+                    apply_move(pd, dict(mv, chirality=-mv["chirality"]))
+
+
+def test_r2_output_pinned():
+    sites = []
+    for pd in _walk_probe(3, 1):
+        pairs = dict.fromkeys((m["over"], m["under"])
+                              for m in available_moves(pd)
+                              if m["move"] == "r2_add")
+        sites.extend((e, f, r2_add(pd, e, f).crossings) for e, f in pairs)
+    assert len(sites) >= 1000
+    assert hashlib.sha256(repr(sites).encode()).hexdigest() == (
+        "aa10959cbb6e660b5d1d88d204abcc0d2a29a50865b4fda3d93c720c726f35b1"
+    ), "r2_add's output changed on the seeded probe"
 
 
 def test_r3_round_trip():
