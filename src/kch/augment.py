@@ -30,9 +30,11 @@ from dataclasses import dataclass
 
 from .hc0 import IntractableError
 
-DEFAULT_MAX_PRIME = 13
-DEFAULT_MAX_GENERATORS = 16
 MAX_PACKED_PRIME = 127  # 2 * (p - 1) <= 255: two residues fit in a byte
+# Counting gives up past this many byte operations, charged (p-1)^2 per
+# coefficient term and p (p-1)^2 per search node expanded.  The tests
+# charge at most 2.2e6, the benchmark 140,832; one unit costs 13-35 ns.
+MAX_COUNT_WORK = 200_000_000
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,14 @@ def _is_prime(p):
     return True
 
 
+def _charge(work):
+    """work, if it is within MAX_COUNT_WORK."""
+    if work > MAX_COUNT_WORK:
+        raise IntractableError("count: search work exceeds the bound %d"
+                               % MAX_COUNT_WORK)
+    return work
+
+
 def _count(relations, nvars, p):
     """The list of augmentation counts at the points (l0, m0) of (F_p*)^2,
     l0-major."""
@@ -91,6 +101,8 @@ def _count(relations, nvars, p):
                      default=0)].append(rel)
 
     q, npts = p - 1, (p - 1) ** 2
+    work = _charge(npts * sum(len(coeff.terms) for rel in relations
+                              for _, coeff in rel))
     cap = 255 // q  # residues below p that one byte can sum
     fill = 256 // p + 1
     scale = [(bytes(c * v % p for v in range(p)) * fill)[:256]
@@ -141,6 +153,7 @@ def _count(relations, nvars, p):
         if len(assigned) == len(order):
             tally[mask] = tally.get(mask, 0) + 1
             continue
+        work = _charge(work + p * npts)
         rels = []
         for rel in levels[len(assigned) + 1]:
             terms = []
@@ -168,27 +181,20 @@ def _count(relations, nvars, p):
     return counts
 
 
-def _check_prime(p, max_prime):
+def _check_prime(p):
     if not _is_prime(p):
         raise ValueError("%r is not prime" % (p,))
-    if p > max_prime:
-        raise IntractableError("count: prime %d exceeds the bound %d"
-                               % (p, max_prime))
     if p > MAX_PACKED_PRIME:
         raise IntractableError(
             "count: prime %d exceeds the bound %d of the packed point search"
             % (p, MAX_PACKED_PRIME))
 
 
-def count_augmentations(pres, p, max_prime=DEFAULT_MAX_PRIME,
-                        max_generators=DEFAULT_MAX_GENERATORS):
-    """AugTable of the presentation over Z_p, all (lam0, mu0) in (F_p*)^2."""
-    _check_prime(p, max_prime)
+def count_augmentations(pres, p):
+    """AugTable of the presentation over Z_p, all (lam0, mu0) in (F_p*)^2.
+    Raises IntractableError past MAX_PACKED_PRIME or MAX_COUNT_WORK."""
+    _check_prime(p)
     variables, relations = pres.commutative
-    if len(variables) > max_generators:
-        raise IntractableError(
-            "count: %d surviving generators exceed the search bound %d"
-            % (len(variables), max_generators))
     points = [(l0, m0) for l0 in range(1, p) for m0 in range(1, p)]
     counts = _count(relations, len(variables), p)
     return AugTable(p=p, counts=tuple(zip(points, counts)))

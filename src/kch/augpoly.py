@@ -11,9 +11,17 @@ rather than guessed at.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
+from math import comb
 
+from .hc0 import IntractableError
 from .laurent import (LaurentPoly, UniPoly, divides, pairwise_resultants,
                       render, unit_normalize)
+
+# The pairwise resultants give up past this many column sets in their
+# Laplace expansions, summed over the pairs.  The benchmark needs at most
+# 1,326 (trefoil_lh.n9), T(2,9) 149,016 and T(2,11) 865,788.
+MAX_RESULTANT_COLUMN_SETS = 200_000
 
 
 @dataclass
@@ -91,6 +99,12 @@ def augmentation_polynomial(pres):
                 for rel in rels]
         if any(u.degree < 1 for u in unis):
             warnings.append("a relation is constant in the generator")
+        sets = sum(comb(a.degree + b.degree, b.degree)
+                   for a, b in combinations(unis, 2))
+        if sets > MAX_RESULTANT_COLUMN_SETS:
+            raise IntractableError(
+                "augpoly: %d column sets of pairwise resultants exceed the "
+                "bound %d" % (sets, MAX_RESULTANT_COLUMN_SETS))
         ress = pairwise_resultants(unis)
         nonzero = [r for r in ress if r]
         if not nonzero:

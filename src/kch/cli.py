@@ -12,8 +12,7 @@ import json
 import sys
 
 from . import knots
-from .augment import (DEFAULT_MAX_GENERATORS, DEFAULT_MAX_PRIME,
-                      IntractableError, _check_prime, _is_prime,
+from .augment import (IntractableError, _check_prime, _is_prime,
                       count_augmentations, distinguish, first_difference)
 from .augpoly import check_apoly_divisibility
 from .dga import check_d_squared, check_grading
@@ -36,16 +35,6 @@ def _parse_prime(text):
     if not _is_prime(p):
         raise argparse.ArgumentTypeError("%d is not prime" % p)
     return p
-
-
-def _parse_bound(text):
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("bad bound %r" % text)
-    if n < 0:
-        raise argparse.ArgumentTypeError("%d is negative" % n)
-    return n
 
 
 def _parse_primes(text):
@@ -86,9 +75,6 @@ def build_parser():
     p.add_argument("--prime", type=_parse_prime, required=True)
     p.add_argument("--lambda", dest="lam0", type=int, default=None)
     p.add_argument("--mu", dest="mu0", type=int, default=None)
-    p.add_argument("--max-generators", type=_parse_bound,
-                   default=DEFAULT_MAX_GENERATORS)
-    p.add_argument("--max-prime", type=_parse_bound, default=DEFAULT_MAX_PRIME)
 
     p = sub.add_parser("augpoly", help="augmentation polynomial")
     add_pd(p)
@@ -109,8 +95,6 @@ def build_parser():
     p.add_argument("file", nargs="?", default=None,
                    help="knot table path (default: bundled table)")
     p.add_argument("--primes", type=_parse_primes, default=[2, 3, 5, 7])
-    p.add_argument("--max-generators", type=_parse_bound,
-                   default=DEFAULT_MAX_GENERATORS)
     return ap
 
 
@@ -175,9 +159,7 @@ def cmd_aug(args):
         if value is not None and not 0 < value < args.prime:
             raise DiagramError("%s %d is not a unit mod %d (use 1..%d)"
                                % (flag, value, args.prime, args.prime - 1))
-    table = count_augmentations(Run(parse_pd(args.pd)).simplified, args.prime,
-                                max_prime=args.max_prime,
-                                max_generators=args.max_generators)
+    table = count_augmentations(Run(parse_pd(args.pd)).simplified, args.prime)
     entries = [{"lambda": l0, "mu": m0, "count": c}
                for (l0, m0), c in table.counts
                if args.lam0 in (None, l0) and args.mu0 in (None, m0)]
@@ -216,7 +198,7 @@ def cmd_compare(args):
 
 def cmd_table(args):
     for p in args.primes:
-        _check_prime(p, DEFAULT_MAX_PRIME)
+        _check_prime(p)
     if args.file is None:
         entries = knots.bundled_table()
     else:
@@ -235,8 +217,7 @@ def cmd_table(args):
             rep.update(_check_report(run.dga)[0])
             # built after the DGA, so taken from its dB and dC
             rep["presentation"] = _presentation_report(run.simplified)
-            sig = run.signature(args.primes,
-                                max_generators=args.max_generators)
+            sig = run.signature(args.primes)
             rep["signature"] = sig.as_json_obj()
             signatures[name] = sig
             rep["augmentation_polynomial"] = run.augpoly.as_json_obj()

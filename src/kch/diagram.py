@@ -118,7 +118,6 @@ class PDCode:
 
     def arcs(self):
         """List of arcs (tuples of edge labels) ordered by smallest label."""
-        m = self.num_edges
         under_ins = {c[0] for c in self.crossings}
         runs = []
         # arcs start right after an under-in edge
@@ -129,8 +128,6 @@ class PDCode:
             while e not in under_ins:
                 e = self.succ(e)
                 run.append(e)
-                if len(run) > m:
-                    raise DiagramError("inconsistent edge structure")
             runs.append(tuple(run))
         runs.sort(key=min)
         return runs
@@ -468,8 +465,6 @@ def r3(pd, face_index):
         for ci, pos in ed[x]:
             pair = (pred, x) if pd.is_head(ci, pos) else (x, succ)
             pairs.setdefault(ci, {})[pos % 2] = pair
-    if any(len(p) != 2 for p in pairs.values()):
-        raise MoveError("inconsistent over/under data at triangle")
     # level check: one strand over at both its crossings, one under at both
     if sorted(sum(pos % 2 for _, pos in ed[x]) for x in labels) != [0, 1, 2]:
         raise MoveError("triangle strands are not level-ordered")

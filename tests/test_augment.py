@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import kch.augment
 from kch.augment import (AugTable, IntractableError, aug_signature,
                          count_augmentations, distinguish, first_difference)
 from kch.augpoly import augmentation_polynomial
@@ -211,8 +212,7 @@ def test_chunked_reduction_at_p61():
                                   (0,) * 3: L() * M(), (0,) * 4: -7 * M(2),
                                   (0,) * 5: -1, (0,) * 6: 11 * L(-3)}]))
     for pres in cases:
-        assert count_augmentations(pres, 61, max_prime=61) \
-            == _count_by_points(pres, 61)
+        assert count_augmentations(pres, 61) == _count_by_points(pres, 61)
 
 
 def test_unknot_table_p3():
@@ -236,13 +236,13 @@ def test_full_and_simplified_presentations_agree():
 
 
 def test_pruned_vs_exhaustive_all_knots():
-    # the bundled knots, then R2 inflations with 3, 2 and 2 generators left
+    # the bundled knots, then R2 inflations with 2, 2 and 1 generators left
     pds = [bundled_knot(name) for name, _ in bundled_table()]
     pds += [_inflated("figure8", 8, 3), _inflated("6_1", 8, 5),
             _inflated("trefoil_lh", 7, 4)]
     for pd in pds:
         pres = simplify(extract_presentation(crossing_data(pd)))
-        for p in (2, 3, 5, 7):
+        for p in (2, 3, 5, 7, 17):
             _assert_counts_agree(pres, p)
 
 
@@ -250,17 +250,27 @@ def test_bounds_and_validation():
     pres = _simplified("trefoil_lh")
     with pytest.raises(ValueError):
         count_augmentations(pres, 4)
-    with pytest.raises(IntractableError):
-        count_augmentations(pres, 17)
-    with pytest.raises(IntractableError):
-        count_augmentations(pres, 17, max_prime=13)
-    assert count_augmentations(pres, 17, max_prime=17).p == 17
-    with pytest.raises(IntractableError):
-        count_augmentations(pres, 2, max_generators=0)
+    assert count_augmentations(pres, 17).p == 17
     # two residues below p must fit in a byte of the packed point search
     with pytest.raises(IntractableError, match="count: .* the bound 127"):
-        count_augmentations(pres, 131, max_prime=200)
-    assert count_augmentations(pres, 127, max_prime=200).p == 127
+        count_augmentations(pres, 131)
+    assert count_augmentations(pres, 127).p == 127
+
+
+def test_work_bound(monkeypatch):
+    # x0 x1 x2 - m at p = 5: 2 coefficient terms cost 2 * 16 for the
+    # tables, and the 1 + 5 + 25 nodes above the relation's last variable
+    # are expanded unpruned at 5 * 16 each
+    pres = _hand_built(3, [{(0, 1, 2): 1, (): -M()}])
+    expected = count_augmentations(pres, 5)
+    monkeypatch.setattr(kch.augment, "MAX_COUNT_WORK", 2 * 16 + 31 * 5 * 16)
+    assert count_augmentations(pres, 5) == expected
+    for budget in (2 * 16 + 31 * 5 * 16 - 1, 2 * 16 - 1):
+        monkeypatch.setattr(kch.augment, "MAX_COUNT_WORK", budget)
+        with pytest.raises(IntractableError,
+                           match="^count: search work exceeds the bound %d$"
+                           % budget):
+            count_augmentations(pres, 5)
 
 
 def test_unlisted_relation_letter_is_a_value_error():

@@ -7,8 +7,9 @@ import sympy
 
 from kch.augpoly import (augmentation_polynomial, check_apoly_divisibility,
                          laurent_gcd)
-from kch.diagram import crossing_data, parse_pd
-from kch.hc0 import Presentation, extract_presentation, simplify
+from kch.diagram import PDCode, crossing_data, parse_pd
+from kch.hc0 import (IntractableError, Presentation, extract_presentation,
+                     simplify)
 from kch.knots import bundled_knot
 from kch.laurent import (LaurentPoly, UniPoly, parse_poly, resultant,
                          unit_normalize)
@@ -46,6 +47,28 @@ def test_torus_knot_5_1_polynomial():
     # resultant route may carry extraneous square factors; here it does
     assert res.polynomial == unit_normalize(
         (L() - 1) * (M() + 1) * (ONE - L() * M(5)) * (ONE - L() * M(5)))
+
+
+def _torus_2(k):
+    """T(2, k) as X[a, a+k, a+1, a+k+1], a = 1, 3, ..., 2k-1, labels mod
+    2k; k = 3 is the bundled trefoil_lh up to the order of crossings."""
+    return PDCode([[(a + d - 1) % (2 * k) + 1 for d in (0, k, 1, k + 1)]
+                   for a in range(1, 2 * k, 2)])
+
+
+def test_resultant_bound():
+    assert sorted(_torus_2(3).crossings) \
+        == sorted(bundled_knot("trefoil_lh").crossings)
+    # T(2,7): 12,166 column sets, within the bound
+    res = augmentation_polynomial(simplify(extract_presentation(
+        crossing_data(_torus_2(7)))))
+    assert res.supported
+    assert check_apoly_divisibility(res.polynomial, parse_poly("l + m^14"))
+    # T(2,11): 865,788 column sets, refused before any is expanded
+    pres = simplify(extract_presentation(crossing_data(_torus_2(11))))
+    with pytest.raises(IntractableError,
+                       match="^augpoly: 865788 column sets .* bound 200000$"):
+        augmentation_polynomial(pres)
 
 
 def test_unsupported_shapes_reported():

@@ -1,19 +1,22 @@
 """Tests for the kch command line."""
 
+import argparse
 import collections
 import functools
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+import kch.augment
 import kch.cli
 import kch.hc0
 import kch.pipeline
-from kch.cli import main
+from kch.cli import build_parser, main
 from kch.diagram import apply_move, available_moves, to_text
 from kch.knots import bundled_knot, bundled_table
 from kch.laurent import MINUS_ONE, ONE, LaurentPoly
@@ -129,23 +132,26 @@ def test_aug_point_outside_units_exit_2(capsys, argv, bad):
     ["table", "--max-generators", "-1"],
 ])
 def test_negative_bound_exit_2(capsys, argv):
+    # the search bounds are no longer flags; counting bounds its own work
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "is negative" in captured.err
+    assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
-def test_aug_intractable_exit_1(capsys):
+def test_aug_intractable_exit_1(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "aug", "--prime", "31", "--pd", UNKNOT)
+    assert code == 0 and json.loads(out)["p"] == 31
+    monkeypatch.setattr(kch.augment, "MAX_COUNT_WORK", 100)
     code, out, err = run_cli(capsys, "aug", "--prime", "31", "--pd", UNKNOT)
-    assert code == 1
-    assert "kch:" in err
+    assert code == 1 and out == ""
+    assert err == "kch: count: search work exceeds the bound 100\n"
 
 
 def test_aug_prime_past_packed_search_exit_1(capsys):
     # two residues below p must fit in a byte of the packed point search
-    code, out, err = run_cli(capsys, "aug", "--prime", "131", "--max-prime",
-                             "200", "--pd", UNKNOT)
+    code, out, err = run_cli(capsys, "aug", "--prime", "131", "--pd", UNKNOT)
     assert code == 1
     assert out == ""
     assert err.startswith("kch: count: prime 131 exceeds the bound 127")
@@ -157,6 +163,16 @@ def test_augpoly(capsys):
     assert code == 0
     assert rep["polynomial"] == "1 + m - l - l*m"
     assert rep["supported"] is True
+
+
+def test_augpoly_intractable_exit_1(capsys):
+    # T(2,11): its pairwise resultants need 865,788 Laplace column sets
+    t_2_11 = ("PD[X[1,12,2,13],X[3,14,4,15],X[5,16,6,17],X[7,18,8,19],"
+              "X[9,20,10,21],X[11,22,12,1],X[13,2,14,3],X[15,4,16,5],"
+              "X[17,6,18,7],X[19,8,20,9],X[21,10,22,11]]")
+    code, out, err = run_cli(capsys, "augpoly", "--pd", t_2_11)
+    assert code == 1 and out == ""
+    assert err.startswith("kch: augpoly: 865788 column sets")
 
 
 def test_apoly_check(capsys):
@@ -386,13 +402,13 @@ def test_parse_does_not_import_sympy():
     assert "kch.augpoly" in imported and "sympy" not in imported
 
 
-@pytest.mark.parametrize("primes", ["17", "2,17", "131"])
+@pytest.mark.parametrize("primes", ["131", "2,131"])
 def test_table_prime_past_bound_exit_1(capsys, primes):
     # the primes are checked once, before any knot is computed
     code, out, err = run_cli(capsys, "table", "--primes", primes)
-    bad = primes.split(",")[-1]
     assert code == 1 and out == ""
-    assert err == "kch: count: prime %s exceeds the bound 13\n" % bad
+    assert err == ("kch: count: prime 131 exceeds the bound 127 of the "
+                   "packed point search\n")
 
 
 R2_TREFOIL = os.path.join(os.path.dirname(os.path.dirname(
@@ -468,3 +484,26 @@ def test_golden_output(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest, (
         "stdout of `kch %s` changed; a deliberate change of a result "
         "updates its pin here and says so in CHANGES.md" % " ".join(argv))
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
+
+
+def test_readme_synopsis_lists_each_subcommands_flags():
+    with open(README, encoding="utf-8") as f:
+        text = f.read()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```\n", 2)[1]
+    listed = {}
+    for line in block.splitlines():
+        assert line.startswith("kch "), line
+        name = line.split()[1]
+        assert name not in listed, line
+        listed[name] = set(re.findall(r"--[a-z][a-z-]*", line))
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    accepted = {name: {o for a in p._actions for o in a.option_strings
+                       if o != "--help" and o.startswith("--")}
+                for name, p in sub.choices.items()}
+    assert listed == accepted
