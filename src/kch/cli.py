@@ -16,7 +16,7 @@ from .augment import (IntractableError, _check_prime, _is_prime,
                       count_augmentations, distinguish, first_difference)
 from .augpoly import check_apoly_divisibility
 from .dga import check_d_squared, check_grading
-from .diagram import DiagramError, parse_pd
+from .diagram import DiagramError, parse_pd, reduced
 from .laurent import parse_poly
 from .pipeline import Run
 
@@ -159,7 +159,9 @@ def cmd_aug(args):
         if value is not None and not 0 < value < args.prime:
             raise DiagramError("%s %d is not a unit mod %d (use 1..%d)"
                                % (flag, value, args.prime, args.prime - 1))
-    table = count_augmentations(Run(parse_pd(args.pd)).simplified, args.prime)
+    # counts are knot invariants: kinks and clasps come off first
+    table = count_augmentations(Run(reduced(parse_pd(args.pd))).simplified,
+                                args.prime)
     entries = [{"lambda": l0, "mu": m0, "count": c}
                for (l0, m0), c in table.counts
                if args.lam0 in (None, l0) and args.mu0 in (None, m0)]
@@ -189,8 +191,9 @@ def cmd_apoly_check(args):
 
 
 def cmd_compare(args):
+    # signatures are knot invariants: kinks and clasps come off first
     pds = [parse_pd(args.pd_a), parse_pd(args.pd_b)]
-    sig_a, sig_b = [Run(pd).signature(args.primes) for pd in pds]
+    sig_a, sig_b = [Run(reduced(pd)).signature(args.primes) for pd in pds]
     return {"schema": SCHEMA,
             "distinguished": distinguish(sig_a, sig_b),
             "first_difference": first_difference(sig_a, sig_b)}
@@ -219,8 +222,8 @@ def cmd_table(args):
             rep["presentation"] = _presentation_report(run.simplified)
             sig = run.signature(args.primes)
             rep["signature"] = sig.as_json_obj()
-            signatures[name] = sig
             rep["augmentation_polynomial"] = run.augpoly.as_json_obj()
+            signatures[name] = sig  # only a knot with no error is compared
         except (DiagramError, IntractableError, ValueError) as exc:
             rep["error"] = str(exc)
         reports.append(rep)

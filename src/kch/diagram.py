@@ -444,6 +444,32 @@ def r2_remove(pd, face_index):
     return _remove_crossings(pd, [c1, c2])
 
 
+def _removals(pd):
+    """Candidate (move, site) pairs that shrink the diagram, kinks first;
+    the faces are traced only when no kink is left."""
+    for ci in range(pd.n):
+        if len(set(pd.crossings[ci])) < 4:
+            yield r1_remove, ci + 1
+    for fi, face in enumerate(pd.faces()):
+        if len(face) == 2:
+            yield r2_remove, fi
+
+
+def reduced(pd):
+    """Remove kinks (R1) and clasps (R2) while one applies and more than one
+    crossing is left: the same knot in at most as many crossings."""
+    while pd.n > 1:
+        for move, site in _removals(pd):
+            try:
+                pd = move(pd, site)
+            except MoveError:  # this site does not apply
+                continue
+            break
+        else:
+            break
+    return pd
+
+
 def r3(pd, face_index):
     """Slide a strand across a crossing (triangle move).
 

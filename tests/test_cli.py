@@ -17,13 +17,19 @@ import kch.cli
 import kch.hc0
 import kch.pipeline
 from kch.cli import build_parser, main
-from kch.diagram import apply_move, available_moves, to_text
+from kch.diagram import apply_move, available_moves, parse_pd, to_text
 from kch.knots import bundled_knot, bundled_table
 from kch.laurent import MINUS_ONE, ONE, LaurentPoly
 
 TREFOIL_LH = "PD[X[3,6,4,1],X[5,2,6,3],X[1,4,2,5]]"
 TREFOIL_RH = "PD[X[6,4,1,3],X[2,6,3,5],X[4,2,5,1]]"
 UNKNOT = "PD[X[1,1,2,2]]"
+# TREFOIL_LH with one more clasp (R2)
+R2_TREFOIL_LH = ("PD[X[3,10,4,1],X[7,2,8,3],X[1,6,2,7],X[9,4,10,5],"
+                 "X[8,6,9,5]]")
+T_2_11 = ("PD[X[1,12,2,13],X[3,14,4,15],X[5,16,6,17],X[7,18,8,19],"
+          "X[9,20,10,21],X[11,22,12,1],X[13,2,14,3],X[15,4,16,5],"
+          "X[17,6,18,7],X[19,8,20,9],X[21,10,22,11]]")
 
 
 def run_cli(capsys, *argv):
@@ -167,10 +173,7 @@ def test_augpoly(capsys):
 
 def test_augpoly_intractable_exit_1(capsys):
     # T(2,11): its pairwise resultants need 865,788 Laplace column sets
-    t_2_11 = ("PD[X[1,12,2,13],X[3,14,4,15],X[5,16,6,17],X[7,18,8,19],"
-              "X[9,20,10,21],X[11,22,12,1],X[13,2,14,3],X[15,4,16,5],"
-              "X[17,6,18,7],X[19,8,20,9],X[21,10,22,11]]")
-    code, out, err = run_cli(capsys, "augpoly", "--pd", t_2_11)
+    code, out, err = run_cli(capsys, "augpoly", "--pd", T_2_11)
     assert code == 1 and out == ""
     assert err.startswith("kch: augpoly: 865788 column sets")
 
@@ -219,6 +222,21 @@ def test_table_with_file(capsys, tmp_path):
     assert "error" in rep["knots"][1]
     assert rep["distinguish_matrix"][0][0] is False
     assert rep["distinguish_matrix"][0][1] is None
+
+
+def test_table_knot_with_error_is_not_compared(capsys, tmp_path):
+    # T(2,11) counts at p = 2 but its augmentation polynomial is refused;
+    # its row and column are null, as for a knot whose count fails
+    f = tmp_path / "knots.txt"
+    f.write_text("unknot: %s\nT(2,11): %s\n" % (UNKNOT, T_2_11))
+    code, out, _ = run_cli(capsys, "table", str(f), "--primes", "2")
+    rep = json.loads(out)
+    assert code == 0
+    assert rep["distinguish_matrix"] == [[False, None], [None, None]]
+    unknot, torus = rep["knots"]
+    assert "error" not in unknot
+    assert torus["error"].startswith("augpoly: 865788 column sets")
+    assert "augmentation_polynomial" not in torus
 
 
 def test_table_empty_file(capsys, tmp_path):
@@ -373,6 +391,42 @@ def test_each_stage_runs_at_most_once_per_diagram(capsys, tmp_path,
                                    for a in argv])
     assert code == 0
     assert calls == {name: n * diagrams for name, n in stages.items()}
+
+
+# the counts are invariants of the knot, so only the commands that print
+# nothing but counts shrink the diagram first
+@pytest.mark.parametrize("argv, reduces", [
+    pytest.param(["parse", "--pd", R2_TREFOIL_LH], False, id="parse"),
+    pytest.param(["dga", "--check", "--pd", R2_TREFOIL_LH], False, id="dga"),
+    pytest.param(["hc0", "--pd", R2_TREFOIL_LH], False, id="hc0"),
+    pytest.param(["hc0", "--no-simplify", "--pd", R2_TREFOIL_LH], False,
+                 id="hc0-no-simplify"),
+    pytest.param(["aug", "--prime", "3", "--pd", R2_TREFOIL_LH], True,
+                 id="aug"),
+    pytest.param(["augpoly", "--pd", R2_TREFOIL_LH], False, id="augpoly"),
+    pytest.param(["apoly-check", "--apoly", "1 + l*m^6", "--pd",
+                  R2_TREFOIL_LH], False, id="apoly-check"),
+    pytest.param(["compare", "--pd-a", R2_TREFOIL_LH, "--pd-b",
+                  R2_TREFOIL_LH], True, id="compare"),
+    pytest.param(["table", "KNOTS", "--primes", "2,3"], False, id="table"),
+])
+def test_only_compare_and_aug_reduce_the_diagram(capsys, tmp_path,
+                                                 monkeypatch, argv, reduces):
+    seen = []
+
+    def recording(pd):
+        seen.append(pd)
+        return crossing_data(pd)
+
+    crossing_data = kch.pipeline.crossing_data
+    monkeypatch.setattr(kch.pipeline, "crossing_data", recording)
+    f = tmp_path / "knots.txt"
+    f.write_text("tref: %s\n" % R2_TREFOIL_LH)
+    code, _, _ = run_cli(capsys, *[str(f) if a == "KNOTS" else a
+                                   for a in argv])
+    assert code == 0
+    expected = parse_pd(TREFOIL_LH if reduces else R2_TREFOIL_LH)
+    assert seen and all(pd == expected for pd in seen)
 
 
 def test_simplify_budget_exit_1(capsys, tmp_path, monkeypatch):

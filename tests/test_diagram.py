@@ -10,9 +10,10 @@ import pytest
 from kch.augment import aug_signature
 from kch.diagram import (DiagramError, MoveError, PDCode, apply_move,
                          available_moves, crossing_data, mirror, parse_pd,
-                         r1_add, r1_remove, r2_add, r2_remove, r3, renumber,
-                         to_json_obj, to_text)
+                         r1_add, r1_remove, r2_add, r2_remove, r3, reduced,
+                         renumber, to_json_obj, to_text)
 from kch.knots import bundled_knot, bundled_table
+from kch.pipeline import Run
 
 TREFOIL_LH = "PD[X[3,6,4,1],X[5,2,6,3],X[1,4,2,5]]"
 TREFOIL_RH = "PD[X[6,4,1,3],X[2,6,3,5],X[4,2,5,1]]"
@@ -305,6 +306,45 @@ def test_r3_round_trip():
     # signatures are costly on the larger diagrams: every fourth small site
     for pd, pd2 in [s for s in sites if s[0].n <= 8][::4]:
         assert aug_signature(pd2, [2, 3]) == aug_signature(pd, [2, 3])
+
+
+def test_reduced_keeps_each_bundled_knot():
+    for _, code in bundled_table():
+        pd = parse_pd(code)
+        assert reduced(pd) == pd
+
+
+def test_reduced_removes_a_clasp_drawn_non_planar():
+    # TREFOIL_RH with a clasp in the chirality that breaks planarity
+    pd = parse_pd("PD[X[10,6,1,5],X[4,10,5,9],X[8,4,9,3],X[7,2,8,1],"
+                  "X[6,2,7,3]]")
+    assert len(pd.faces()) != pd.n + 2
+    assert reduced(pd) == parse_pd(TREFOIL_RH)
+
+
+def test_reduced_never_adds_crossings():
+    for pd in _walk_probe(3, 1) + tuple(map(mirror, _walk_probe(3, 1))):
+        red = reduced(pd)
+        assert red.n <= pd.n
+        assert reduced(red) == red
+
+
+def test_reduced_keeps_the_signature():
+    # full <-> reduced: three seeded walks of three R1/R2 additions per
+    # bundled knot, each undone back to the knot's crossing number
+    rng = random.Random(7)
+    for _, code in bundled_table():
+        base = parse_pd(code)
+        for _ in range(3):
+            pd = base
+            for _ in range(3):
+                adds = [m for m in available_moves(pd)
+                        if m["move"] in ("r1_add", "r2_add")]
+                pd = apply_move(pd, rng.choice(adds))
+            red = reduced(pd)
+            assert red.n == base.n < pd.n
+            assert Run(red).signature([2, 3, 5]) \
+                == Run(pd).signature([2, 3, 5]), to_text(pd)
 
 
 def test_apply_move_unknown():
