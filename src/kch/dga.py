@@ -101,14 +101,10 @@ def build_dga(cd):
     n = cd.n
     mats = build_matrices(cd)
     a, psi_l, psi_r = mats["A"], mats["psi_l"], mats["psi_r"]
-    b = NCMatrix([[NCPoly.gen(Generator("b", i, j)) for j in range(1, n + 1)]
-                  for i in range(1, n + 1)])
-    c = NCMatrix([[NCPoly.gen(Generator("c", i, j)) for j in range(1, n + 1)]
-                  for i in range(1, n + 1)])
-    mats = dict(mats, B=b, C=c,
-                D=NCMatrix([[NCPoly.gen(Generator("d", i, j))
-                             for j in range(1, n + 1)]
-                            for i in range(1, n + 1)]))
+    b, c, d = (NCMatrix([[NCPoly.gen(Generator(kind, i, j))
+                          for j in range(1, n + 1)] for i in range(1, n + 1)])
+               for kind in "bcd")
+    mats = dict(mats, B=b, C=c, D=d)
 
     images = {}
     for i in range(1, n + 1):

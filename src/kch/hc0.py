@@ -72,11 +72,6 @@ def extract_presentation(cd):
                                  mats["A"] * mats["psi_r"])
 
 
-def _recode(p, table):
-    """p with every letter x replaced by table[x]."""
-    return NCPoly({tuple(table[x] for x in w): c for w, c in p.terms.items()})
-
-
 def _offer(rel, alive):
     """(offer, letters) from one pass over rel's words: letters counts
     each letter's occurrences, and offer is (cost, g, u) for the smallest
@@ -175,26 +170,22 @@ def simplify(pres):
     The key puts short replacement words first: substituting long words
     turns linear relations nonlinear and blocks later steps.
 
-    The loop codes letters as ints in Generator order.  _settle caches
-    each relation's offer and letter counts, found in one pass over its
-    words, and computes a _unit_key only where two relations share a word
-    set.  A heap holds (cost, position) of every offer; an entry whose
+    The loop runs on the relations' own Generator letters.  _settle
+    caches each relation's offer and letter counts, found in one pass over
+    its words, and computes a _unit_key only where two relations share a
+    word set.  A heap holds (cost, position) of every offer; an entry whose
     relation has since been dropped or changed its offer is skipped.
     After a step only the relations that contained g are settled again:
     no other offer changes.  Raises IntractableError once the relations
     hold more than MAX_RELATION_TERMS terms."""
-    letters = sorted(set(pres.generators).union(
-        *(r.generators() for r in pres.relations)))
-    code = {g: k for k, g in enumerate(letters)}
-    alive = {code[g] for g in pres.generators}
+    alive = set(pres.generators)
     cache = {}   # position -> (relation, word set, offer, letter counts)
     holder = {}  # word set -> {_unit_key or None: position}
     heap = []    # (cost, position) of every offer made, some since stale
     size = sum(len(r.terms) for r in pres.relations)  # terms held
-    size -= _settle(cache, holder, heap,
-                    [(p, _recode(r, code))
-                     for p, r in enumerate(pres.relations)], alive)
-    log = []
+    size -= _settle(cache, holder, heap, list(enumerate(pres.relations)),
+                    alive)
+    log = list(pres.substitution_log)
     while heap:
         cost, p = heappop(heap)
         offer = cache[p][2] if p in cache else None
@@ -217,13 +208,11 @@ def simplify(pres):
                     % (size, MAX_RELATION_TERMS))
             changed.append((q, new))
         alive.discard(g)
-        log.append((letters[g], _recode(replacement, letters)))
+        log.append((g, replacement))
         size -= _settle(cache, holder, heap, changed, alive)
-    return Presentation(
-        generators=[g for g in sorted(set(pres.generators))
-                    if code[g] in alive],
-        relations=[_recode(cache[p][0], letters) for p in sorted(cache)],
-        substitution_log=list(pres.substitution_log) + log)
+    return Presentation(generators=sorted(alive),
+                        relations=[cache[p][0] for p in sorted(cache)],
+                        substitution_log=log)
 
 
 def replay_log(pres, target):

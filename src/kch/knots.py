@@ -25,6 +25,8 @@ def parse_table(text):
         if ":" not in line:
             raise DiagramError("line %d: expected `name: PDcode`" % lineno)
         name, code = (part.strip() for part in line.split(":", 1))
+        if not name:
+            raise DiagramError("line %d: empty knot name" % lineno)
         if name in seen:
             raise DiagramError("line %d: knot name %r already used on line %d"
                                % (lineno, name, seen[name]))

@@ -18,24 +18,35 @@ generic path and gives the same result.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .laurent import MINUS_ONE, ONE, LaurentPoly, render
 
-_DEGREE = {"a": 0, "b": 1, "c": 1, "d": 2, "e": 2}
+_KINDS = ("a", "b", "c", "d", "e")
+_DEGREES = (0, 1, 1, 2, 2)
+# indices run 0 .. _SPAN - 1, the most that keeps every Generator below
+# 2^30: one digit of a Python int, the fastest kind to hash and compare
+_SPAN = 14_654
+_SPAN2 = _SPAN * _SPAN
 
 
-class Generator(NamedTuple):
+class Generator(int):
     """Graded generator a_ij / b_ai / c_ia / d_ab / e_a of the framed DGA;
-    a tuple (kind, i, j), so it hashes and orders as one."""
+    an int that orders as (kind, i, j) does, so a word of them hashes and
+    compares as a tuple of small ints."""
 
-    kind: str
-    i: int
-    j: int = 0
+    __slots__ = ()
 
-    @property
-    def degree(self):
-        return _DEGREE[self.kind]
+    def __new__(cls, kind, i, j=0):
+        if not (0 <= i < _SPAN and 0 <= j < _SPAN):
+            raise ValueError("generator index out of range: %d, %d" % (i, j))
+        return int.__new__(cls, (_KINDS.index(kind) * _SPAN + i) * _SPAN + j)
+
+    kind = property(lambda g: _KINDS[g // _SPAN2])
+    i = property(lambda g: g // _SPAN % _SPAN)
+    j = property(lambda g: g % _SPAN)
+    degree = property(lambda g: _DEGREES[g // _SPAN2])
+
+    def __getnewargs__(self):
+        return self.kind, self.i, self.j
 
     def name(self):
         if self.kind == "e":
@@ -44,8 +55,10 @@ class Generator(NamedTuple):
             return "%s%d%d" % (self.kind, self.i, self.j)
         return "%s(%d,%d)" % (self.kind, self.i, self.j)
 
-    def __str__(self):
-        return self.name()
+    __str__ = name
+
+    def __repr__(self):
+        return "Generator(%r, %d, %d)" % (self.kind, self.i, self.j)
 
 
 def word_degree(word):
@@ -53,8 +66,7 @@ def word_degree(word):
 
 
 def _word_key(word):
-    """Shorter words first, then letter by letter; letters are Generators
-    or the ints that stand for them in Generator order."""
+    """Shorter words first, then letter by letter."""
     return (len(word), word)
 
 

@@ -271,6 +271,13 @@ def test_table_duplicate_names_exit_2(capsys, tmp_path):
     assert err == "kch: line 3: knot name 'k' already used on line 1\n"
 
 
+def test_table_empty_name_exit_2(capsys, tmp_path):
+    f = tmp_path / "knots.txt"
+    f.write_text(": PD[X[1,1,2,2]]\n")
+    code, out, err = run_cli(capsys, "table", str(f))
+    assert (code, out, err) == (2, "", "kch: line 1: empty knot name\n")
+
+
 def test_table_pairwise_distinction(capsys, tmp_path):
     f = tmp_path / "knots.txt"
     f.write_text("unknot: %s\nlh: %s\nrh: %s\n"

@@ -1,5 +1,6 @@
 """Tests for cord-algebra presentations and their simplification."""
 
+import hashlib
 import random
 
 import pytest
@@ -206,10 +207,11 @@ def test_simplify_matches_reference_on_bundled_knots(name):
         extract_presentation(crossing_data(bundled_knot(name))))
 
 
-@pytest.mark.parametrize("name, n, seed", [
-    ("figure8", 8, 1), ("trefoil_lh", 7, 2), ("5_2", 7, 3), ("unknot", 7, 4),
-    ("figure8", 10, 5), ("6_1", 8, 6),
-])
+_R2_CASES = [("figure8", 8, 1), ("trefoil_lh", 7, 2), ("5_2", 7, 3),
+             ("unknot", 7, 4), ("figure8", 10, 5), ("6_1", 8, 6)]
+
+
+@pytest.mark.parametrize("name, n, seed", _R2_CASES)
 def test_simplify_matches_reference_on_r2_inflations(name, n, seed):
     pd = _inflated(name, n, seed)
     assert pd.n == n
@@ -237,8 +239,9 @@ def test_simplify_keys_only_relations_that_share_a_word_set(monkeypatch):
     assert 4 * len(keys) < len(settled)
 
 
-# relations over int letters, as _settle sees them; _X and _Y share their
-# word set without being unit multiples of each other
+# relations over plain int letters, which _settle only hashes and orders
+# as it does Generators; _X and _Y share their word set without being
+# unit multiples of each other
 _X = NCPoly({(0,): LaurentPoly.const(1), (1, 2): L()})
 _Y = NCPoly({(0,): LaurentPoly.const(1), (1, 2): M()})
 _X_UNIT = _X * LaurentPoly.unit(-1, 2, -1)
@@ -318,7 +321,7 @@ def test_simplify_never_eliminates_unlisted_generators():
     _assert_same_as_reference(pres)
 
 
-# relations as simplify sees them: int letters, small Laurent coefficients
+# relations over plain int letters, with small Laurent coefficients
 _coeffs = st.dictionaries(
     st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
     st.integers(-3, 3).filter(bool), min_size=1, max_size=3).map(LaurentPoly)
@@ -359,3 +362,39 @@ def test_unit_key_agrees_with_nc_unit_normalize(r1, other, kind, sign, a, b):
         assert not same
     if same:
         assert hash(_unit_key(r1)) == hash(_unit_key(r2))
+
+
+def _dump(pres):
+    """simplify's output as text, every dict in its own order: generator
+    names, then each relation's words with each coefficient's terms, then
+    the substitution log."""
+
+    def poly(p):
+        return ";".join("*".join(g.name() for g in w) + "="
+                        + ",".join("%d,%d:%d" % (i, j, c)
+                                   for (i, j), c in coeff.terms.items())
+                        for w, coeff in p.terms.items())
+
+    lines = [" ".join(g.name() for g in pres.generators)]
+    lines += [poly(r) for r in pres.relations]
+    lines += ["%s -> %s" % (g.name(), poly(r))
+              for g, r in pres.substitution_log]
+    return "\n".join(lines)
+
+
+def test_simplify_output_bytes_are_pinned():
+    # the reference tests compare dicts, which ignores key order; this
+    # pins the order too, on the bundled knots and the R2 inflations above
+    inputs = [bundled_knot(name) for name, _ in bundled_table()]
+    inputs += [_inflated(*case) for case in _R2_CASES]
+    h = hashlib.sha256()
+    for pd in inputs:
+        pres = extract_presentation(crossing_data(pd))
+        out = simplify(pres)
+        h.update(_dump(out).encode() + b"\n\n")
+        # the output's letters are the input's Generator objects
+        given = {id(g) for r in pres.relations for w in r.terms for g in w}
+        assert all(id(g) in given for r in out.relations + [
+            r for _, r in out.substitution_log] for w in r.terms for g in w)
+    assert h.hexdigest() == ("cff9efd0252a230e4eb0cb4a3cdf777f"
+                            "76cdf4c61518c94203590738a148db69")

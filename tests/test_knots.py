@@ -35,6 +35,8 @@ other: PD[X[9,9,9,9]]
 def test_parse_table_rejects_bad_lines():
     with pytest.raises(DiagramError):
         parse_table("no separator here")
+    with pytest.raises(DiagramError, match=r"^line 2: empty knot name$"):
+        parse_table("k1: PD[X[1,1,2,2]]\n: PD[X[1,1,2,2]]")
 
 
 def test_load_table(tmp_path):

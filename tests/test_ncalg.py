@@ -1,5 +1,7 @@
 """Tests for the noncommutative graded algebra layer."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -31,13 +33,30 @@ def test_degrees_and_names():
     assert str(B11) == "b11" and "%s" % (B11,) == "b11"
 
 
-def test_generator_is_a_tuple():
-    assert B11 == ("b", 1, 1) and hash(B11) == hash(("b", 1, 1))
-    assert E1 == ("e", 1, 0)
+def test_generator_is_an_int():
+    assert isinstance(B11, int)
+    b11 = Generator("b", 1, 1)
+    assert B11 == b11 and hash(B11) == hash(b11)
+    assert E1 == Generator("e", 1, 0) and B11 != C11
     gens = [E1, D11, Generator("a", 2, 1), C11, A12, B11,
             Generator("a", 10, 2)]
     assert sorted(gens) == [A12, Generator("a", 2, 1),
                             Generator("a", 10, 2), B11, C11, D11, E1]
+    assert (Generator("a", 1, 10**4) < Generator("a", 2, 0)
+            < Generator("b", 0, 0) < Generator("e", 1))
+    for kind in "abcde":
+        for i, j in [(0, 0), (1, 10**4), (10**4, 1), (10**4, 10**4)]:
+            g = Generator(kind, i, j)
+            assert (g.kind, g.i, g.j) == (kind, i, j)
+    assert repr(A12) == "Generator('a', 1, 2)"
+    for g in [A12, E1, Generator("d", 10**4, 7)]:
+        for copied in [copy.deepcopy(g), pickle.loads(pickle.dumps(g))]:
+            assert type(copied) is Generator and copied == g
+            assert (copied.kind, copied.i, copied.j) == (g.kind, g.i, g.j)
+    with pytest.raises(ValueError):
+        Generator("a", -1, 2)
+    with pytest.raises(ValueError):
+        Generator("f", 1, 2)
 
 
 def test_noncommutative_product():
