@@ -10,6 +10,11 @@ counterclockwise by 90 degrees yields the oriented under-strand direction;
 in label terms the over-strand enters at position d for a positive
 crossing and at position b for a negative one.
 
+Edits renumber edges by one rule: each writes its crossings with one
+sortable key per edge, in key order along the knot (a cut edge e becomes
+the pieces (e, 0), (e, 1), (e, 2); a run of joined edges is keyed by its
+smallest label), and ``_relabel`` ranks the keys 1..2n.
+
 Diagram components ("arcs") are maximal runs of edges uninterrupted by
 undercrossings; there are n of them, numbered by smallest edge label.
 Every move ``available_moves`` lists yields a planar diagram (``len(faces())
@@ -219,7 +224,9 @@ def crossing_data(pd):
 
 # -- parsing / serialization ------------------------------------------
 
-_X_RE = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
+_X = r"X\s*\[\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\]"
+_X_RE = re.compile(_X)
+_PD_RE = re.compile(r"PD\s*\[\s*%s(?:\s*,\s*%s)*\s*\]" % (_X, _X))
 
 
 def parse_pd(text):
@@ -244,19 +251,14 @@ def parse_pd(text):
                 raise DiagramError("JSON crossing %s is not a list of 4 "
                                    "integer edge labels" % json.dumps(c))
         return PDCode(crossings)
-    compact = re.sub(r"\s+", "", s)
-    m = re.fullmatch(r"PD\[(.*)\]", compact)
-    if not m:
-        raise DiagramError("PD code must look like PD[X[a,b,c,d],...]")
-    body = m.group(1)
+    if not _PD_RE.fullmatch(s):
+        if not re.fullmatch(r"PD\s*\[.*\]", s, re.S):
+            raise DiagramError("PD code must look like PD[X[a,b,c,d],...]")
+        raise DiagramError("malformed PD code: %r" % text)
     try:
-        crossings = [tuple(int(g) for g in xm.groups())
-                     for xm in _X_RE.finditer(body)]
+        crossings = [tuple(map(int, g)) for g in _X_RE.findall(s)]
     except ValueError:  # a label past Python's int-string digit limit
         raise DiagramError("edge label too long in PD code") from None
-    leftover = _X_RE.sub("", body).replace(",", "")
-    if leftover or not crossings:
-        raise DiagramError("malformed PD code: %r" % text)
     return PDCode(crossings)
 
 
@@ -281,6 +283,13 @@ def mirror(pd):
     return PDCode(out)
 
 
+def _relabel(rows):
+    """PDCode of crossings whose edges carry sortable keys, one key per
+    edge in order along the knot, with the keys ranked 1..2n."""
+    rank = {k: i for i, k in enumerate(sorted(set().union(*rows)), start=1)}
+    return PDCode([tuple(map(rank.get, row)) for row in rows])
+
+
 def renumber(pd, crossing_perm, basepoint_edge=1):
     """Permute the crossing list and shift edge labels so numbering starts
     at basepoint_edge."""
@@ -290,69 +299,41 @@ def renumber(pd, crossing_perm, basepoint_edge=1):
         raise DiagramError("invalid crossing permutation %r" % (perm,))
     if not 1 <= basepoint_edge <= 2 * n:
         raise DiagramError("basepoint edge %r out of range" % (basepoint_edge,))
-    shift = basepoint_edge - 1
-
-    def relabel(x):
-        return (x - 1 - shift) % (2 * n) + 1
-
-    out = [tuple(relabel(x) for x in pd.crossings[k]) for k in perm]
-    return PDCode(out)
+    return _relabel([tuple((x - basepoint_edge) % (2 * n)
+                           for x in pd.crossings[k]) for k in perm])
 
 
 def _remove_crossings(pd, indices):
-    """Delete the given crossings, merging the edges that ran through them."""
+    """Delete the given crossings.  Each one joins both its incoming edges
+    (under and over) to their successors; a run of joined edges becomes one
+    edge, keyed by its smallest label."""
     removed = set(indices)
     if len(removed) >= pd.n:
         raise MoveError("removal would leave no crossings")
-    parent = {x: x for x in range(1, pd.num_edges + 1)}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for ci in removed:
-        a, b, c, d = pd.crossings[ci]
-        union(a, c)
-        union(b, d)
-    reps = sorted({find(x) for x in parent})
-    rank = {rep: k + 1 for k, rep in enumerate(reps)}
-    new = [tuple(rank[find(x)] for x in pd.crossings[ci])
-           for ci in range(pd.n) if ci not in removed]
+    joined = {x for ci in removed for x in (pd.crossings[ci][0],
+                                            pd.over_in(ci))}  # x ~ succ(x)
+    m = pd.num_edges
+    key = {}
+    for x in range(1, m + 1):
+        key[x] = key[x - 1] if x - 1 in joined else x
+    if m in joined:  # the run through m -> 1 is keyed by 1
+        key = {x: 1 if k == key[m] else k for x, k in key.items()}
     try:
-        return PDCode(new)
+        return _relabel([tuple(map(key.get, cr))
+                         for ci, cr in enumerate(pd.crossings)
+                         if ci not in removed])
     except DiagramError as exc:
         raise MoveError("removal produced an invalid diagram: %s" % exc) \
             from None
 
 
 def _split_edges(pd, edges):
-    """Relabel darts after each listed edge is cut into three pieces.
-
-    The piece at the edge's tail keeps the (shifted) old label and the
-    piece at its head gets the old label plus 2, so the two darts of a
-    split edge part ways."""
-    es = sorted(set(edges))
-
-    def shift(x):
-        return x + 2 * sum(1 for e in es if e < x)
-
-    out = []
-    for ci, cr in enumerate(pd.crossings):
-        row = []
-        for pos, x in enumerate(cr):
-            y = shift(x)
-            if x in es and pd.is_head(ci, pos):
-                y += 2
-            row.append(y)
-        out.append(tuple(row))
-    return out
+    """Key the darts of pd as if each listed edge were cut into pieces
+    (e, 0), (e, 1), (e, 2) along the knot: an uncut edge and a cut edge's
+    tail dart get piece 0, a cut edge's head dart piece 2."""
+    return [tuple((x, 2 if x in edges and pd.is_head(ci, pos) else 0)
+                  for pos, x in enumerate(cr))
+            for ci, cr in enumerate(pd.crossings)]
 
 
 def r1_add(pd, edge, sign):
@@ -362,12 +343,10 @@ def r1_add(pd, edge, sign):
     if sign not in (1, -1):
         raise MoveError("kink sign must be +1 or -1")
     out = _split_edges(pd, [edge])
-    e = edge
-    if sign == 1:
-        out.append((e, e + 2, e + 1, e + 1))
-    else:
-        out.append((e, e + 1, e + 1, e + 2))
-    return PDCode(out)
+    E = [(edge, k) for k in range(3)]
+    out.append((E[0], E[2], E[1], E[1]) if sign == 1
+               else (E[0], E[1], E[1], E[2]))
+    return _relabel(out)
 
 
 def r1_remove(pd, crossing):
@@ -404,17 +383,17 @@ def r2_add(pd, edge_over, edge_under):
     chirality that keeps the diagram planar: -s_e*s_f, read off the face."""
     e, f = edge_over, edge_under
     s_e, s_f = _r2_sides(pd, e, f)
-    E = e + 2 * (f < e)
-    F = f + 2 * (e < f)
+    E = [(e, k) for k in range(3)]
+    F = [(f, k) for k in range(3)]
     out = _split_edges(pd, [e, f])
     table = {
-        (1, 1): ((F + 1, E + 1, F + 2, E), (F, E + 1, F + 1, E + 2)),
-        (1, -1): ((F, E + 1, F + 1, E), (F + 1, E + 1, F + 2, E + 2)),
-        (-1, 1): ((F, E, F + 1, E + 1), (F + 1, E + 2, F + 2, E + 1)),
-        (-1, -1): ((F + 1, E, F + 2, E + 1), (F, E + 2, F + 1, E + 1)),
+        (1, 1): ((F[1], E[1], F[2], E[0]), (F[0], E[1], F[1], E[2])),
+        (1, -1): ((F[0], E[1], F[1], E[0]), (F[1], E[1], F[2], E[2])),
+        (-1, 1): ((F[0], E[0], F[1], E[1]), (F[1], E[2], F[2], E[1])),
+        (-1, -1): ((F[1], E[0], F[2], E[1]), (F[0], E[2], F[1], E[1])),
     }
     out.extend(table[(s_f, s_e)])
-    return PDCode(out)
+    return _relabel(out)
 
 
 def r2_remove(pd, face_index):

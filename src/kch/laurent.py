@@ -18,8 +18,8 @@ with a one-term factor (a monomial) shifts and scales the other factor.
 
 Exact division has one kernel, ``_quotient``: it strips both sides to least
 exponents 0, so that l and m divide neither, and divides in Z[l, m] by
-leading terms in (m-degree, l-degree) lex order, which terminates.  A
-monomial divisor takes a fast path; ``divides`` is a thin wrapper around it.
+leading terms in (m-degree, l-degree) lex order, which terminates.
+``divides`` is a thin wrapper around it.
 
 Resultants have one kernel, ``pairwise_resultants``, which expands every
 Sylvester determinant of a list of polynomials by the Laplace rule along
@@ -331,13 +331,6 @@ def _quotient(p, d):
         raise ValueError("zero divisor")
     if not p:
         return LaurentPoly.zero()
-    u = d.as_unit()
-    if u is not None:
-        c, i, j = u
-        if any(pc % c for pc in p.terms.values()):
-            return None
-        return LaurentPoly({(pi - i, pj - j): pc // c
-                            for (pi, pj), pc in p.terms.items()})
     # p = l^pi0 m^pj0 p', d = l^di0 m^dj0 d'; l and m divide neither p' nor
     # d', so d | p iff d' | p' in Z[l, m], and then q = l^si m^sj (p' / d')
     pi0, pj0, p = _strip(p)

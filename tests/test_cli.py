@@ -58,6 +58,7 @@ HUGE_LABEL = "9" * 5000
 
 @pytest.mark.parametrize("pd", [
     "PD[X[1,2,3]]",
+    "PD[X[3,6,4,1]X[5,2,6,3]X[1,4,2,5]]",
     pytest.param("PD[X[%s,2,3,4]]" % HUGE_LABEL, id="5000-digit-label"),
 ])
 def test_parse_bad_pd_exit_2(capsys, pd):

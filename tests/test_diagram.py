@@ -33,7 +33,12 @@ def test_parse_text_and_json():
 def test_parse_rejects_malformed():
     for bad in ["", "PD[]", "PD[X[1,2,3]]", "X[1,1,2,2]",
                 "PD[X[1,1,2,2]] trailing", "{\"crossing\": []}",
-                "{not json", "PD[X[1,1,2,2],junk]"]:
+                "{not json", "PD[X[1,1,2,2],junk]",
+                # a missing or doubled comma, and non-ASCII digits
+                "PD[X[3,6,4,1]X[5,2,6,3]X[1,4,2,5]]",
+                "PD[,,X[3,6,4,1],,X[5,2,6,3],X[1,4,2,5],]",
+                "PD[X[\u0661,\u0664,\u0662,\u0665],X[\u0663,\u0666,\u0664,"
+                "\u0661],X[\u0665,\u0662,\u0666,\u0663]]"]:
         with pytest.raises(DiagramError):
             parse_pd(bad)
 
@@ -358,3 +363,36 @@ def test_available_moves_all_apply():
         for mv in available_moves(pd):
             out = apply_move(pd, mv)
             assert isinstance(out, PDCode)
+
+
+def _outcome(move, pd, *site):
+    try:
+        return move(pd, *site).crossings
+    except MoveError as exc:
+        return str(exc)
+
+
+def test_edit_outputs_pinned():
+    # labels are compared exactly, so a relabeling that rotates or
+    # permutes them changes the digest even where round trips still pass
+    rng = random.Random(17)
+    sites = []
+    for pd in _walk_probe(3, 1):
+        sites.append(("r1_add", [r1_add(pd, e, s).crossings
+                                 for e in range(1, pd.num_edges + 1)
+                                 for s in (1, -1)]))
+        sites.append(("r1_remove", [_outcome(r1_remove, pd, k)
+                                    for k in range(1, pd.n + 1)]))
+        sites.append(("r2_remove", [_outcome(r2_remove, pd, fi)
+                                    for fi in range(len(pd.faces()))]))
+        perm = rng.sample(range(pd.n), pd.n)
+        sites.append(("renumber", [renumber(pd, perm, b).crossings
+                                   for b in range(1, pd.num_edges + 1)]))
+        sites.append(("reduced", reduced(pd).crossings))
+    assert len(sites) == 5 * 35
+    removals = [res for kind, outs in sites if kind.endswith("_remove")
+                for res in outs if isinstance(res, list)]
+    assert len(removals) >= 90
+    assert hashlib.sha256(repr(sites).encode()).hexdigest() == (
+        "d35766e4d3613e10b5349dd723836af77344e30d0f22c7de8a9ff47d2619eaad"
+    ), "an edit's output labels changed on the seeded probe"
