@@ -19,6 +19,10 @@ Diagram components ("arcs") are maximal runs of edges uninterrupted by
 undercrossings; there are n of them, numbered by smallest edge label.
 Every move ``available_moves`` lists yields a planar diagram (``len(faces())
 == n + 2``); R2 takes the one planar chirality from the face it crosses.
+
+A ``PDCode`` is immutable and works out its embedding once: validation
+keeps each edge's darts and each crossing's over-in slot, and ``faces()``
+is traced on first use and kept for every move to read.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 
 
 class DiagramError(ValueError):
@@ -39,10 +44,11 @@ class MoveError(DiagramError):
 class PDCode:
     """Validated PD code of an oriented knot diagram."""
 
-    __slots__ = ("crossings",)
+    __slots__ = ("crossings", "_darts", "_over_slots", "_faces")
 
     def __init__(self, crossings):
-        self.crossings = [tuple(int(x) for x in c) for c in crossings]
+        self.crossings = [tuple(map(int, c)) for c in crossings]
+        self._faces = None
         self._validate()
 
     # -- basics -------------------------------------------------------
@@ -65,59 +71,64 @@ class PDCode:
         return to_text(self)
 
     def _validate(self):
+        """Check the code and keep its edge -> darts map and each
+        crossing's over-in slot."""
         n = self.n
         if n < 1:
             raise DiagramError("a diagram needs at least one crossing")
         for c in self.crossings:
             if len(c) != 4:
                 raise DiagramError("crossing %r does not have 4 edges" % (c,))
-        counts = {}
-        for c in self.crossings:
-            for x in c:
-                counts[x] = counts.get(x, 0) + 1
-        if set(counts) != set(range(1, 2 * n + 1)):
-            raise DiagramError("edge labels must be exactly 1..%d" % (2 * n))
-        bad = [x for x, k in counts.items() if k != 2]
+        m = 2 * n
+        darts = {}
+        for ci, cr in enumerate(self.crossings):
+            for pos, x in enumerate(cr):
+                darts[x] = darts.get(x, ()) + ((ci, pos),)
+        labels = set(range(1, m + 1))
+        if set(darts) != labels:
+            raise DiagramError("edge labels must be exactly 1..%d" % m)
+        bad = [x for x, ds in darts.items() if len(ds) != 2]
         if bad:
             raise DiagramError("edge labels %s do not appear exactly twice"
                                % sorted(bad))
+        slots = []
         for ci, (a, b, c, d) in enumerate(self.crossings):
-            if c != self.succ(a):
+            if c != a % m + 1:
                 raise DiagramError(
                     "crossing %d: under-edges %d -> %d are not consecutive"
                     % (ci + 1, a, c))
-            if self.succ(b) != d and self.succ(d) != b:
+            fwd, bwd = b % m + 1 == d, d % m + 1 == b
+            if not (fwd or bwd):
                 raise DiagramError(
                     "crossing %d: over-edges %d, %d are not consecutive"
                     % (ci + 1, b, d))
+            # fwd and bwd only at n = 1, where the over strand is entered
+            # right after the under-strand exits at c
+            slots.append(1 if fwd and (b == c or not bwd) else 3)
+        bad = labels.difference(cr[k] for cr, s in zip(self.crossings, slots)
+                                for k in (0, s))
+        if bad:
+            raise DiagramError("edges %s enter no crossing; each edge must "
+                               "enter exactly one" % sorted(bad))
+        self._darts = darts
+        self._over_slots = tuple(slots)
 
     # -- per-crossing structure --------------------------------------
 
     def over_in_slot(self, ci):
         """1 if the over-strand enters at position b, 3 if at position d."""
-        a, b, c, d = self.crossings[ci]
-        fwd = self.succ(b) == d
-        bwd = self.succ(d) == b
-        if fwd and bwd:
-            # only possible for a 1-crossing diagram; the over strand is
-            # entered right after the under-strand exits at c
-            return 1 if b == c else 3
-        return 1 if fwd else 3
+        return self._over_slots[ci]
 
     def over_in(self, ci):
-        return self.crossings[ci][self.over_in_slot(ci)]
+        return self.crossings[ci][self._over_slots[ci]]
 
     def sign(self, ci):
-        return 1 if self.over_in_slot(ci) == 3 else -1
+        return 1 if self._over_slots[ci] == 3 else -1
 
     def is_head(self, ci, pos):
         """True iff the dart (crossing, position) is the incoming end of
         its edge."""
-        if pos == 0:
-            return True
-        if pos == 2:
-            return False
-        return pos == self.over_in_slot(ci)
+        return pos == 0 or pos == self._over_slots[ci]
 
     # -- arcs ---------------------------------------------------------
 
@@ -151,38 +162,28 @@ class PDCode:
         return [(ci, pos) for ci in range(self.n) for pos in range(4)]
 
     def edge_darts(self):
-        m = {}
-        for ci, cr in enumerate(self.crossings):
-            for pos, x in enumerate(cr):
-                m.setdefault(x, []).append((ci, pos))
-        return m
+        """Read-only map edge label -> its two darts (crossing, position)."""
+        return MappingProxyType(self._darts)
 
     def faces(self):
-        """Orbits of the face-tracing map; each face keeps the region on
-        the right of the walk direction.  Deterministic order."""
-        ed = self.edge_darts()
-
-        def alpha(t):
-            d1, d2 = ed[self.crossings[t[0]][t[1]]]
-            return d2 if t == d1 else d1
-
-        def step(t):
-            ci, pos = alpha(t)
-            return (ci, (pos + 1) % 4)
-
-        seen = set()
-        out = []
-        for t0 in self.darts():
-            if t0 in seen:
-                continue
-            orbit = []
-            t = t0
-            while t not in seen:
-                seen.add(t)
-                orbit.append(t)
-                t = step(t)
-            out.append(orbit)
-        return out
+        """Orbits of the face-tracing map, as tuples of darts; each face
+        keeps the region on the right of the walk direction.
+        Deterministic order; traced once per diagram."""
+        if self._faces is None:
+            seen = set()
+            out = []
+            for t in self.darts():
+                orbit = []
+                while t not in seen:
+                    seen.add(t)
+                    orbit.append(t)
+                    t1, t2 = self._darts[self.crossings[t[0]][t[1]]]
+                    ci, pos = t2 if t == t1 else t1
+                    t = (ci, (pos + 1) % 4)
+                if orbit:
+                    out.append(tuple(orbit))
+            self._faces = tuple(out)
+        return self._faces
 
 
 @dataclass(frozen=True)
@@ -412,13 +413,9 @@ def r2_remove(pd, face_index):
     y = pd.crossings[t2[0]][t2[1]]
     if x == y:
         raise MoveError("degenerate bigon along a single edge")
-    ed = pd.edge_darts()
-
-    def slots(label):
-        return [pos % 2 for ci, pos in ed[label]]  # 0 = under, 1 = over
-
-    sx, sy = slots(x), slots(y)
-    if not (sx[0] == sx[1] and sy[0] == sy[1] and sx[0] != sy[0]):
+    # a clasp: one edge is under (0) at both crossings, the other over (1)
+    levels = [{pos % 2 for _, pos in pd.edge_darts()[z]} for z in (x, y)]
+    if levels not in ([{0}, {1}], [{1}, {0}]):
         raise MoveError("bigon is not a removable clasp")
     return _remove_crossings(pd, [c1, c2])
 

@@ -14,7 +14,7 @@ def parse_table(text):
     by name.
 
     PD parsing is deferred so that one malformed entry does not poison a
-    batch run; use load_entry on each pair.
+    batch run; call parse_pd on each entry's code.
     """
     entries = []
     seen = {}  # name -> line number

@@ -68,6 +68,25 @@ def test_parse_bad_pd_exit_2(capsys, pd):
     assert err.startswith("kch: ") and "Traceback" not in err
 
 
+# edges 1 and 3 are each entered at both ends; `aug` and `compare` remove
+# the kink at crossing 1 before crossing_data could refuse the code
+HEAD_TO_HEAD = "PD[X[1,2,2,1],X[3,4,4,3]]"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["parse", "--pd", HEAD_TO_HEAD], id="parse"),
+    pytest.param(["aug", "--prime", "3", "--pd", HEAD_TO_HEAD], id="aug"),
+    pytest.param(["compare", "--pd-a", TREFOIL_LH, "--pd-b", HEAD_TO_HEAD],
+                 id="compare"),
+])
+def test_edge_entered_at_both_ends_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("kch: ") and "each edge must enter exactly one" \
+        in err
+
+
 @pytest.mark.parametrize("pd", [
     '{"crossings": 5}',
     '{"crossings": [5]}',

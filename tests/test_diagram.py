@@ -1,5 +1,6 @@
 """Tests for PD codes, crossing data and Reidemeister moves."""
 
+import collections
 import functools
 import hashlib
 import json
@@ -55,6 +56,13 @@ def test_validation_rules():
     # over-edges must be consecutive
     with pytest.raises(DiagramError):
         PDCode([(1, 3, 2, 1), (3, 2, 4, 4)])
+    # each edge enters exactly one crossing: edges 1 and 3 of the first
+    # code are entered at both ends (crossing_data also refuses it), and
+    # edges 2 and 4 of the second, one crossing listed twice (crossing_data
+    # took it)
+    for rows in ([(1, 2, 2, 1), (3, 4, 4, 3)], [(4, 2, 1, 3), (4, 2, 1, 3)]):
+        with pytest.raises(DiagramError, match="enter no crossing"):
+            PDCode(rows)
 
 
 def test_signs_and_over_in():
@@ -62,10 +70,11 @@ def test_signs_and_over_in():
     assert [pd.sign(k) for k in range(3)] == [-1, -1, -1]
     pd = parse_pd(TREFOIL_RH)
     assert [pd.sign(k) for k in range(3)] == [1, 1, 1]
-    kink = parse_pd(UNKNOT)
     # the over strand re-enters right after the under-pass exits
-    assert kink.over_in(0) == 2
-    assert kink.sign(0) == 1
+    for code, sign in ((UNKNOT, 1), ("PD[X[1,2,2,1]]", -1)):
+        kink = parse_pd(code)
+        assert kink.over_in(0) == 2
+        assert kink.sign(0) == sign
 
 
 def test_arcs():
@@ -350,6 +359,44 @@ def test_reduced_keeps_the_signature():
             assert red.n == base.n < pd.n
             assert Run(red).signature([2, 3, 5]) \
                 == Run(pd).signature([2, 3, 5]), to_text(pd)
+
+
+def test_moves_leave_their_input_unchanged():
+    # a PDCode keeps its traced faces, so no edit may change its input
+    for pd in _walk_probe(3, 1):
+        crossings, faces = list(pd.crossings), pd.faces()
+        for mv in available_moves(pd):
+            apply_move(pd, mv)
+        reduced(pd)
+        assert pd.crossings == crossings
+        assert pd.faces() == faces == PDCode(crossings).faces()
+
+
+def test_faces_are_traced_once_per_diagram(monkeypatch):
+    # each trace walks darts() once; a fresh seeded inflation per knot
+    traced = collections.Counter()
+    darts = PDCode.darts
+
+    def counting(pd):
+        traced[to_text(pd)] += 1
+        return darts(pd)
+
+    rng = random.Random(5)
+    for _, code in bundled_table():
+        pd = parse_pd(code)
+        for _ in range(8):
+            adds = [m for m in available_moves(pd)
+                    if m["move"] in ("r1_add", "r2_add")]
+            pd = apply_move(pd, rng.choice(adds))
+        with monkeypatch.context() as m:
+            m.setattr(PDCode, "darts", counting)
+            red = reduced(pd)
+            available_moves(pd)
+            available_moves(red)
+        assert pd.faces() is pd.faces()
+        assert red.n < pd.n and traced[to_text(pd)] == 1
+        assert max(traced.values()) == 1, traced.most_common(1)
+        traced.clear()
 
 
 def test_apply_move_unknown():
