@@ -17,7 +17,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain
 
-from .dga import build_matrices
+from .dga import IntractableError, build_matrices
 from .ncalg import NCPoly, _word_key
 
 
@@ -151,10 +151,6 @@ def _release(cache, holder, p):
 # The largest total seen on the tests and benchmark inputs is 782; R2
 # inflations that used to exhaust memory stop here within ~5 s, ~110 MB.
 MAX_RELATION_TERMS = 100_000
-
-
-class IntractableError(RuntimeError):
-    """A stage exceeded its size bound."""
 
 
 def simplify(pres):

@@ -14,6 +14,13 @@ of ``NCPoly.substitute``) takes the other factor or its negation,
 coefficient times sign, and ``_accumulate`` deletes a term where ONE
 meets MINUS_ONE.  The tests are by identity, so an unshared 1 takes the
 generic path and gives the same result.
+
+A row of PsiL has at most three nonzero entries, a column of A has n:
+each entry of an NCMatrix product walks the sparser of its row and
+column, in ascending k either way, so the key order is the same.
+``Derivation.apply`` reads ``images`` at each call, splices only letters
+with a nonzero image (no a_ij has one), and carries the Leibniz sign as
+a flag, negating a word's coefficient only when a splice needs it.
 """
 
 from __future__ import annotations
@@ -61,8 +68,14 @@ class Generator(int):
         return "Generator(%r, %d, %d)" % (self.kind, self.i, self.j)
 
 
+# the kinds are stored in contiguous ranges: a below _B, b and c (degree
+# 1) below _D, d and e (degree 2) from _D on
+_B = _SPAN2
+_D = 3 * _SPAN2
+
+
 def word_degree(word):
-    return sum(g.degree for g in word)
+    return sum((g >= _B) + (g >= _D) for g in word)
 
 
 def _word_key(word):
@@ -102,12 +115,15 @@ def _mul_into(terms, left, right):
                             -c1 if c2 is MINUS_ONE else c1 * c2)
 
 
-def _dot(row, col):
-    """Sum of row[k] * col's entry k in ascending k, col given as
-    NCMatrix._column gives it."""
+def _dot(nz, full, nz_left):
+    """Sum in ascending k of the products of the nonzero entries (k, terms)
+    of one factor, left if nz_left, with entry k of the other, full."""
     t = {}
-    for k, right in col:
-        left = row[k].terms
+    for k, terms in nz:
+        other = full[k].terms
+        if not other:
+            continue
+        left, right = (terms, other) if nz_left else (other, terms)
         if len(left) > 1 and len(right) > 1:
             # words of this product may coincide: sum it apart first, as
             # the whole product would be
@@ -115,9 +131,14 @@ def _dot(row, col):
             _mul_into(part, left, right)
             for w, c in part.items():
                 _accumulate(t, w, c)
-        elif left:
+        else:
             _mul_into(t, left, right)
     return _poly(t)
+
+
+def _nonzero(entries):
+    """The nonzero entries of a row or column as (index, terms)."""
+    return [(k, e.terms) for k, e in enumerate(entries) if e.terms]
 
 
 def _poly(terms):
@@ -301,30 +322,21 @@ class NCMatrix:
         return isinstance(other, NCMatrix) and self.entries == other.entries
 
     def __mul__(self, other):
-        """Row-by-column product over nonzero entries only; each entry
-        gets the terms, in the same key order, that adding up every
-        product self[i, k] * other[k, j] in ascending k would give."""
+        """Row-by-column product over nonzero entries only, walking the
+        sparser of row i and column j; each entry gets the terms, in the
+        same key order, that adding up every product self[i, k] *
+        other[k, j] in ascending k would give."""
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        cols = [other._column(j) for j in range(other.n)]
-        return NCMatrix([[_dot(row, col) for col in cols]
-                         for row in self.entries])
-
-    def product_diagonal(self, other):
-        """The diagonal entries of self * other, without the rest."""
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return [_dot(row, other._column(i))
-                for i, row in enumerate(self.entries)]
-
-    def _column(self, j):
-        """The nonzero entries of column j as (row index, terms)."""
-        return [(k, row[j].terms) for k, row in enumerate(self.entries)
-                if row[j]]
-
-    def __sub__(self, other):
-        return NCMatrix([[a - b for a, b in zip(r1, r2)]
-                         for r1, r2 in zip(self.entries, other.entries)])
+        cols = list(zip(*other.entries))
+        nz_cols = [_nonzero(col) for col in cols]
+        out = []
+        for row in self.entries:
+            nz_row = _nonzero(row)
+            out.append([_dot(nz_row, col, True) if len(nz_row) <= len(nz_col)
+                         else _dot(nz_col, row, False)
+                         for col, nz_col in zip(cols, nz_cols)])
+        return NCMatrix(out)
 
     def __str__(self):
         return "[" + ",\n ".join("[" + ", ".join(str(e) for e in row) + "]"
@@ -347,22 +359,30 @@ class Derivation:
         images = self.images
         t = {}
         for w, c in p.terms.items():
+            odd = False  # the sign (-1)^deg of the prefix
+            neg = None   # -c, made on first use
             for k, g in enumerate(w):
                 img = images.get(g)
                 if img is None:
                     raise KeyError("no differential image for %s" % g.name())
-                pre, post = w[:k], w[k + 1:]
-                if c is ONE:
-                    for rw, rc in img.terms.items():
-                        _accumulate(t, pre + rw + post, rc)
-                elif c is MINUS_ONE:
-                    for rw, rc in img.terms.items():
-                        _accumulate(t, pre + rw + post, MINUS_ONE if rc is ONE
-                                    else ONE if rc is MINUS_ONE else -rc)
-                else:
-                    for rw, rc in img.terms.items():
-                        _accumulate(t, pre + rw + post, c if rc is ONE else
-                                    -c if rc is MINUS_ONE else rc * c)
-                if g.degree % 2:
-                    c = -c
+                if img.terms:
+                    pre, post = w[:k], w[k + 1:]
+                    if odd and neg is None:
+                        neg = -c
+                    s = neg if odd else c
+                    if s is ONE:
+                        for rw, rc in img.terms.items():
+                            _accumulate(t, pre + rw + post, rc)
+                    elif s is MINUS_ONE:
+                        for rw, rc in img.terms.items():
+                            _accumulate(t, pre + rw + post,
+                                        MINUS_ONE if rc is ONE else
+                                        ONE if rc is MINUS_ONE else -rc)
+                    else:
+                        for rw, rc in img.terms.items():
+                            _accumulate(t, pre + rw + post, s if rc is ONE
+                                        else -s if rc is MINUS_ONE
+                                        else rc * s)
+                if _B <= g < _D:
+                    odd = not odd
         return _poly(t)

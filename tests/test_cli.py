@@ -14,12 +14,14 @@ import pytest
 
 import kch.augment
 import kch.cli
+import kch.dga
 import kch.hc0
 import kch.pipeline
 from kch.cli import build_parser, main
 from kch.diagram import apply_move, available_moves, parse_pd, to_text
 from kch.knots import bundled_knot, bundled_table
 from kch.laurent import MINUS_ONE, ONE, LaurentPoly
+from kch.ncalg import NCPoly
 
 TREFOIL_LH = "PD[X[3,6,4,1],X[5,2,6,3],X[1,4,2,5]]"
 TREFOIL_RH = "PD[X[6,4,1,3],X[2,6,3,5],X[4,2,5,1]]"
@@ -112,6 +114,35 @@ def test_dga_check(capsys):
     assert rep["grading"] == "pass"
     assert rep["generators"] == {"degree_0": 6, "degree_1": 18,
                                  "degree_2": 12}
+
+
+def _kink_chain(n):
+    """The unknot drawn with n kinks."""
+    return "PD[" + ",".join("X[%d,%d,%d,%d]" % (2 * k - 1, 2 * k + 1 if k < n
+                                                else 1, 2 * k, 2 * k)
+                            for k in range(1, n + 1)) + "]"
+
+
+@pytest.mark.parametrize("argv", [["dga", "--check"], ["hc0", "--no-simplify"]])
+def test_dga_past_crossing_bound_exit_1(capsys, monkeypatch, argv):
+    # refused at once: no matrix entry is made past the bound
+    n = kch.dga.MAX_DGA_CROSSINGS + 1
+    pd = _kink_chain(n)
+    assert parse_pd(pd).n == n
+
+    def no_entry(*args):
+        raise AssertionError("an NCPoly was made past the bound")
+    monkeypatch.setattr(NCPoly, "__init__", no_entry)
+    code, out, err = run_cli(capsys, *argv, "--pd", pd)
+    assert code == 1 and out == ""
+    assert err == "kch: dga: %d crossings exceed the bound %d\n" % (n, n - 1)
+
+
+def test_dga_crossing_bound_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(kch.dga, "MAX_DGA_CROSSINGS", 3)
+    assert run_cli(capsys, "dga", "--check", "--pd", TREFOIL_LH)[0] == 0
+    code, _, err = run_cli(capsys, "dga", "--check", "--pd", _kink_chain(4))
+    assert code == 1 and err == "kch: dga: 4 crossings exceed the bound 3\n"
 
 
 def test_hc0(capsys):

@@ -20,6 +20,11 @@ def _s(p):
     return NCPoly.scalar(p)
 
 
+def _items(p):
+    """Terms with their key order."""
+    return list(p.terms.items())
+
+
 ONE = LaurentPoly.const(1)
 L = LaurentPoly.lam
 M = LaurentPoly.mu
@@ -91,29 +96,60 @@ def test_degenerate_kink_still_consistent():
     assert check_grading(dga)["pass"]
 
 
-def _inflated(name, n, seed):
-    """A bundled knot grown to n crossings by seeded R2 moves."""
+def _inflated(name, n, seed, kinds=("r2_add",)):
+    """A bundled knot grown to at least n crossings by seeded moves of the
+    given kinds."""
     rng = random.Random(seed)
     pd = bundled_knot(name)
     while pd.n < n:
         pd = apply_move(pd, rng.choice(
-            [m for m in available_moves(pd) if m["move"] == "r2_add"]))
+            [m for m in available_moves(pd) if m["move"] in kinds]))
     return pd
 
 
+def _generator_matrix(kind, n):
+    return NCMatrix([[NCPoly.gen(Generator(kind, i, j))
+                      for j in range(1, n + 1)] for i in range(1, n + 1)])
+
+
 def test_e_images_match_full_products():
-    # d e_a is read off the diagonal alone; the full products B.PsiR1 and
-    # PsiL2.C must give the same images, terms in the same order
-    pds = [bundled_knot(name) for name, _ in bundled_table()]
-    pds += [_inflated("figure8", 8, 3), _inflated("5_2", 9, 1)]
+    # the d_ij and e_a images are summed over the nonzero entries of the
+    # Psi matrices alone; the full products B.PsiR - PsiL.C and the
+    # diagonal of B.PsiR1 - PsiL2.C must give the same images, terms in
+    # the same order
+    pds = [bundled_knot(name) for name, _ in bundled_table()]  # unknot too
+    pds += [_inflated("figure8", 8, 3, ("r1_add", "r2_add")),
+            _inflated("5_2", 9, 1, ("r1_add", "r2_add"))]
+    assert any(crossing_data(pd).degenerate for pd in pds)
     for pd in pds:
         dga = build_dga(crossing_data(pd))
-        mats = dga.matrices
-        full = mats["B"] * mats["psi_r1"] - mats["psi_l2"] * mats["C"]
-        for i in range(1, dga.n + 1):
-            image = dga.differential.images[Generator("e", i)]
-            assert image == full[i - 1, i - 1], (pd, i)
-            assert list(image.terms) == list(full[i - 1, i - 1].terms)
+        mats, images = dga.matrices, dga.differential.images
+        b, c = (_generator_matrix(kind, dga.n) for kind in "bc")
+        b_r, l_c = b * mats["psi_r"], mats["psi_l"] * c
+        b_r1, l2_c = b * mats["psi_r1"], mats["psi_l2"] * c
+        for i in range(dga.n):
+            for j in range(dga.n):
+                want = b_r[i, j] - l_c[i, j]
+                assert _items(images[Generator("d", i + 1, j + 1)]) \
+                    == _items(want), (pd, i, j)
+            image = images[Generator("e", i + 1)]
+            assert _items(image) == _items(b_r1[i, i] - l2_c[i, i]), (pd, i)
+
+
+def test_zero_image_skip_reads_live_images():
+    # negative control: d(a_ij) = 0 lets Derivation.apply skip every a_ij,
+    # but a nonzero d(a12) set after the build must reach d^2 of the b and
+    # c generators whose image contains a12
+    dga = build_dga(crossing_data(bundled_knot("trefoil_lh")))
+    images = dga.differential.images
+    a12 = Generator("a", 1, 2)
+    users = {g.name() for g, img in images.items()
+             if g.kind in "bc" and a12 in img.generators()}
+    assert users and check_d_squared(dga)["pass"]
+    images[a12] = NCPoly.gen(Generator("b", 1, 1))
+    d2 = check_d_squared(dga)
+    assert not d2["pass"]
+    assert users <= {f["generator"] for f in d2["failures"]}
 
 
 _WALK_MOVES = ("r1_add", "r1_remove", "r2_add", "r2_remove")

@@ -229,25 +229,37 @@ def _leibniz_by_products(d, p):
     return out
 
 
+_WORDS = [()] + [(x,) for x in (A12, B11)] \
+    + [(x, y) for x in (A12, B11) for y in (A12, B11)]
+_COEFFS = [LaurentPoly.const(1), LaurentPoly.const(-1), LaurentPoly.mu(),
+           -LaurentPoly.mu(), LaurentPoly.lam() + 2]
+
+
+def _random_entry(rng):
+    """Nonzero NCPoly of 1-3 terms over two letters, words of length 0-2."""
+    terms = {}
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        terms[rng.choice(_WORDS)] = rng.choice(_COEFFS)
+    return NCPoly(terms)
+
+
 def _random_matrix(rng, n):
     """Sparse n x n matrix over two letters: zero rows and columns, scalar
     entries, words of length 0-2 and coefficients that cancel."""
-    letters = [A12, B11]
-    words = [()] + [(x,) for x in letters] \
-        + [(x, y) for x in letters for y in letters]
-    coeffs = [LaurentPoly.const(1), LaurentPoly.const(-1),
-              LaurentPoly.mu(), -LaurentPoly.mu(), LaurentPoly.lam() + 2]
     zero_row, zero_col = rng.randrange(n + 1), rng.randrange(n + 1)
+    return NCMatrix([[_random_entry(rng) if i != zero_row and j != zero_col
+                      and rng.random() < 0.5 else NCPoly.zero()
+                      for j in range(n)] for i in range(n)])
+
+
+def _banded(rng, n, dense):
+    """n x n matrix with no zero entry if dense, else 1-3 nonzero entries
+    in each row."""
     rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = {}
-            if i != zero_row and j != zero_col and rng.random() < 0.5:
-                for _ in range(rng.choice((1, 1, 2, 3))):
-                    terms[rng.choice(words)] = rng.choice(coeffs)
-            row.append(NCPoly(terms))
-        rows.append(row)
+    for _ in range(n):
+        keep = range(n) if dense else rng.sample(range(n), rng.randint(1, 3))
+        rows.append([_random_entry(rng) if k in keep else NCPoly.zero()
+                     for k in range(n)])
     return NCMatrix(rows)
 
 
@@ -256,10 +268,15 @@ def test_matrix_product_matches_dense_loop(seed):
     rng = random.Random(seed)
     n = rng.randrange(1, 6)
     a, b = _random_matrix(rng, n), _random_matrix(rng, n)
-    got, want = a * b, _matmul_dense(a, b)
-    for i in range(n):
-        for j in range(n):
-            assert _items(got[i, j]) == _items(want[i, j]), (i, j)
+    # the PsiL.A shape, rows of at most 3 nonzeros against dense columns,
+    # walks the row; the A.PsiR shape walks the column
+    m = rng.randrange(4, 8)
+    sparse, dense = _banded(rng, m, False), _banded(rng, m, True)
+    for a, b in ((a, b), (sparse, dense), (dense, NCMatrix(zip(*sparse.entries)))):
+        got, want = a * b, _matmul_dense(a, b)
+        for i in range(a.n):
+            for j in range(a.n):
+                assert _items(got[i, j]) == _items(want[i, j]), (i, j)
 
 
 def test_matrix_product_keeps_order_through_cancellation():
@@ -355,8 +372,6 @@ def test_unit_shortcuts_match_generic_arithmetic(seed):
         assert _exact(p * s) == _exact(up * us)
     got, want = a * b, _matmul_dense(ua, ub)
     assert _snapshot(got) == _snapshot(want)
-    assert [_exact(e) for e in a.product_diagonal(b)] \
-        == [_exact(want[i, i]) for i in range(n)]
     for x in (p, q, p * q):
         assert _exact(d.apply(x)) \
             == _exact(_leibniz_by_products(ud, _unshared(x)))
