@@ -17,7 +17,7 @@ from .diagram import (CrossingData, DiagramError, MoveError, PDCode,
 from .hc0 import Presentation, extract_presentation, simplify
 from .laurent import (LaurentPoly, UniPoly, divides, pairwise_resultants,
                       parse_poly, render, resultant, unit_normalize)
-from .ncalg import Derivation, Generator, NCMatrix, NCPoly
+from .ncalg import Derivation, Generator, NCPoly
 from .pipeline import Run
 
 __version__ = "0.1.0"

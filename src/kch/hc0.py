@@ -17,7 +17,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain
 
-from .dga import IntractableError, build_matrices
+from .dga import IntractableError, build_matrices, relation_products
 from .ncalg import NCPoly, _word_key
 
 
@@ -58,18 +58,15 @@ class Presentation:
 
 def relation_presentation(rel_l, rel_r):
     """All a_ij with the entries of rel_l = PsiL.A and then of
-    rel_r = A.PsiR, each read row by row, as relations."""
-    relations = [m[i, j] for m in (rel_l, rel_r)
-                 for i in range(m.n) for j in range(m.n)]
+    rel_r = A.PsiR, each a list of rows read row by row, as relations."""
+    relations = [e for m in (rel_l, rel_r) for row in m for e in row]
     gens = sorted({g for rel in relations for g in rel.generators()})
     return Presentation(generators=gens, relations=relations)
 
 
 def extract_presentation(cd):
     """All a_ij with the 2n^2 entries of PsiL.A and A.PsiR as relations."""
-    mats = build_matrices(cd)
-    return relation_presentation(mats["psi_l"] * mats["A"],
-                                 mats["A"] * mats["psi_r"])
+    return relation_presentation(*relation_products(build_matrices(cd)))
 
 
 def _offer(rel, alive):

@@ -8,16 +8,13 @@ graded Leibniz rule  d(uv) = d(u)v + (-1)^{deg u} u d(v).
 Most coefficients of the framed DGA are the shared constants ``ONE`` and
 ``MINUS_ONE`` of ``laurent`` (``NCPoly.gen`` and ``NCPoly.scalar`` use
 them).  Three kernels skip the Laurent call when a factor ``is`` one of
-them: ``_mul_into`` (every NCPoly and NCMatrix product, and each splice
-of ``NCPoly.substitute``) takes the other factor or its negation,
-``Derivation.apply`` does the same for the Leibniz rule's image
-coefficient times sign, and ``_accumulate`` deletes a term where ONE
-meets MINUS_ONE.  The tests are by identity, so an unshared 1 takes the
+them: ``_mul_into`` (every NCPoly product, each entry of the DGA's
+matrix products, and each splice of ``NCPoly.substitute``) takes the
+other factor or its negation, ``Derivation.apply`` does the same for the
+Leibniz rule's image coefficient times sign, and ``_accumulate`` deletes
+a term where ONE meets MINUS_ONE.  The tests are by identity, so an unshared 1 takes the
 generic path and gives the same result.
 
-A row of PsiL has at most three nonzero entries, a column of A has n:
-each entry of an NCMatrix product walks the sparser of its row and
-column, in ascending k either way, so the key order is the same.
 ``Derivation.apply`` reads ``images`` at each call, splices only letters
 with a nonzero image (no a_ij has one), and carries the Leibniz sign as
 a flag, negating a word's coefficient only when a splice needs it.
@@ -113,32 +110,6 @@ def _mul_into(terms, left, right):
             for w2, c2 in right.items():
                 _accumulate(terms, w1 + w2, c1 if c2 is ONE else
                             -c1 if c2 is MINUS_ONE else c1 * c2)
-
-
-def _dot(nz, full, nz_left):
-    """Sum in ascending k of the products of the nonzero entries (k, terms)
-    of one factor, left if nz_left, with entry k of the other, full."""
-    t = {}
-    for k, terms in nz:
-        other = full[k].terms
-        if not other:
-            continue
-        left, right = (terms, other) if nz_left else (other, terms)
-        if len(left) > 1 and len(right) > 1:
-            # words of this product may coincide: sum it apart first, as
-            # the whole product would be
-            part = {}
-            _mul_into(part, left, right)
-            for w, c in part.items():
-                _accumulate(t, w, c)
-        else:
-            _mul_into(t, left, right)
-    return _poly(t)
-
-
-def _nonzero(entries):
-    """The nonzero entries of a row or column as (index, terms)."""
-    return [(k, e.terms) for k, e in enumerate(entries) if e.terms]
 
 
 def _poly(terms):
@@ -295,52 +266,6 @@ def nc_unit_normalize(p):
     if lead.terms[min(lead.terms)] < 0:
         q = -q
     return q
-
-
-class NCMatrix:
-    """Square matrix with NCPoly entries; order of factors is preserved."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, entries):
-        self.entries = [list(row) for row in entries]
-        self.n = len(self.entries)
-        for row in self.entries:
-            if len(row) != self.n:
-                raise ValueError("matrix must be square")
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[NCPoly.scalar(1 if i == j else 0) for j in range(n)]
-                    for i in range(n)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, NCMatrix) and self.entries == other.entries
-
-    def __mul__(self, other):
-        """Row-by-column product over nonzero entries only, walking the
-        sparser of row i and column j; each entry gets the terms, in the
-        same key order, that adding up every product self[i, k] *
-        other[k, j] in ascending k would give."""
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        cols = list(zip(*other.entries))
-        nz_cols = [_nonzero(col) for col in cols]
-        out = []
-        for row in self.entries:
-            nz_row = _nonzero(row)
-            out.append([_dot(nz_row, col, True) if len(nz_row) <= len(nz_col)
-                         else _dot(nz_col, row, False)
-                         for col, nz_col in zip(cols, nz_cols)])
-        return NCMatrix(out)
-
-    def __str__(self):
-        return "[" + ",\n ".join("[" + ", ".join(str(e) for e in row) + "]"
-                                 for row in self.entries) + "]"
 
 
 class Derivation:

@@ -32,8 +32,8 @@ class Run:
     @cached_property
     def presentation(self):
         """The entries of dB = PsiL.A and dC = A.PsiR, read off the DGA if
-        this run built it, else formed from the crossing data at half the
-        cost."""
+        this run built it, else formed from the crossing data without the
+        d_ij and e_i images."""
         if "dga" in self.__dict__:
             return relation_presentation(self.dga.matrices["dB"],
                                          self.dga.matrices["dC"])

@@ -2,14 +2,18 @@
 
 import random
 
+import pytest
+from helpers import dense, generator_matrix, kink_chain, matmul, sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kch.dga import build_dga, build_matrices, check_d_squared, check_grading
+from kch.dga import (IntractableError, MAX_DGA_CROSSINGS, build_dga,
+                     build_matrices, check_d_squared, check_grading,
+                     generator_counts)
 from kch.diagram import apply_move, available_moves, crossing_data, parse_pd
 from kch.knots import bundled_knot, bundled_table
 from kch.laurent import LaurentPoly
-from kch.ncalg import Generator, NCMatrix, NCPoly
+from kch.ncalg import Generator, NCPoly
 
 
 def _a(i, j, coeff=1):
@@ -33,31 +37,59 @@ M = LaurentPoly.mu
 def test_trefoil_matrices_exact():
     cd = crossing_data(bundled_knot("trefoil_lh"))
     mats = build_matrices(cd)
-    psi_l = NCMatrix([
+    psi_l = [
         [_a(2, 1, -1), _s(M()), _s(L())],
         [_s(ONE), _a(3, 2, -1), _s(M())],
         [_s(M()), _s(ONE), _a(1, 3, -1)],
-    ])
-    psi_r = NCMatrix([
+    ]
+    psi_r = [
         [_a(1, 2, -1), _s(M()), _s(ONE)],
         [_s(ONE), _a(2, 3, -1), _s(M())],
         [_s(L(-1) * M()), _s(ONE), _a(3, 1, -1)],
-    ])
-    a_mat = NCMatrix([
+    ]
+    a_mat = [
         [_s(1 + M()), _a(1, 2), _a(1, 3)],
         [_a(2, 1), _s(1 + M()), _a(2, 3)],
         [_a(3, 1), _a(3, 2), _s(1 + M())],
-    ])
-    assert mats["psi_l"] == psi_l
-    assert mats["psi_r"] == psi_r
+    ]
+    assert mats["psi_l"] == sparse(psi_l)
+    assert mats["psi_r"] == sparse(zip(*psi_r))  # columns
     assert mats["A"] == a_mat
+
+
+def _by_degree(dga):
+    """The DGA's generators counted by degree."""
+    return {d: sum(g.degree == d for g in dga.differential.images)
+            for d in (0, 1, 2)}
 
 
 def test_generator_counts():
     dga = build_dga(crossing_data(bundled_knot("trefoil_lh")))
-    assert dga.generator_counts() == {0: 6, 1: 18, 2: 12}
+    assert _by_degree(dga) == generator_counts(3) == {0: 6, 1: 18, 2: 12}
     dga1 = build_dga(crossing_data(bundled_knot("unknot")))
-    assert dga1.generator_counts() == {0: 0, 1: 2, 2: 2}
+    assert _by_degree(dga1) == generator_counts(1) == {0: 0, 1: 2, 2: 2}
+    assert generator_counts(MAX_DGA_CROSSINGS)[1] == 2 * 256 ** 2
+    with pytest.raises(IntractableError, match="257 crossings exceed"):
+        generator_counts(MAX_DGA_CROSSINGS + 1)
+
+
+def test_matrices_are_built_sparse(monkeypatch):
+    # no dense n x n list of zeros: the Psi rows and columns hold their
+    # nonzero entries alone, at most three, in ascending k
+    def no_zero():
+        raise AssertionError("build_matrices made a zero NCPoly")
+    monkeypatch.setattr(NCPoly, "zero", no_zero)
+    pds = [parse_pd(kink_chain(64))]
+    pds += [bundled_knot(name) for name, _ in bundled_table()]
+    for pd in pds:
+        mats = build_matrices(crossing_data(pd))
+        for key in ("psi_l", "psi_r", "psi_l2", "psi_r1"):
+            assert len(mats[key]) == pd.n, key
+            for line in mats[key]:
+                ks = [k for k, _ in line]
+                assert len(line) <= 3 and ks == sorted(set(ks)), (key, line)
+                assert all(0 <= k < pd.n and x for k, x in line), (key, line)
+        assert all(len(row) == pd.n and all(row) for row in mats["A"])
 
 
 def test_differential_degree_zero_vanishes():
@@ -107,11 +139,6 @@ def _inflated(name, n, seed, kinds=("r2_add",)):
     return pd
 
 
-def _generator_matrix(kind, n):
-    return NCMatrix([[NCPoly.gen(Generator(kind, i, j))
-                      for j in range(1, n + 1)] for i in range(1, n + 1)])
-
-
 def test_e_images_match_full_products():
     # the d_ij and e_a images are summed over the nonzero entries of the
     # Psi matrices alone; the full products B.PsiR - PsiL.C and the
@@ -123,17 +150,20 @@ def test_e_images_match_full_products():
     assert any(crossing_data(pd).degenerate for pd in pds)
     for pd in pds:
         dga = build_dga(crossing_data(pd))
-        mats, images = dga.matrices, dga.differential.images
-        b, c = (_generator_matrix(kind, dga.n) for kind in "bc")
-        b_r, l_c = b * mats["psi_r"], mats["psi_l"] * c
-        b_r1, l2_c = b * mats["psi_r1"], mats["psi_l2"] * c
-        for i in range(dga.n):
-            for j in range(dga.n):
-                want = b_r[i, j] - l_c[i, j]
+        mats, images, n = dga.matrices, dga.differential.images, dga.n
+        psi_l, psi_l2 = (dense(mats[key], n) for key in ("psi_l", "psi_l2"))
+        psi_r, psi_r1 = (dense(mats[key], n, columns=True)
+                         for key in ("psi_r", "psi_r1"))
+        b, c = (generator_matrix(kind, n) for kind in "bc")
+        b_r, l_c = matmul(b, psi_r), matmul(psi_l, c)
+        b_r1, l2_c = matmul(b, psi_r1), matmul(psi_l2, c)
+        for i in range(n):
+            for j in range(n):
+                want = b_r[i][j] - l_c[i][j]
                 assert _items(images[Generator("d", i + 1, j + 1)]) \
                     == _items(want), (pd, i, j)
             image = images[Generator("e", i + 1)]
-            assert _items(image) == _items(b_r1[i, i] - l2_c[i, i]), (pd, i)
+            assert _items(image) == _items(b_r1[i][i] - l2_c[i][i]), (pd, i)
 
 
 def test_zero_image_skip_reads_live_images():
@@ -171,7 +201,7 @@ def test_dga_checks_hold_along_reidemeister_walks(name, data):
             [m for m in moves if m["move"] == kind]), label="move"))
         dga = build_dga(crossing_data(pd))
         n = pd.n
-        assert dga.generator_counts() == {0: n * (n - 1), 1: 2 * n * n,
-                                          2: n * n + n}
+        assert _by_degree(dga) == generator_counts(n) \
+            == {0: n * (n - 1), 1: 2 * n * n, 2: n * n + n}
         assert check_d_squared(dga)["pass"]
         assert check_grading(dga)["pass"]

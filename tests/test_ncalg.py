@@ -5,15 +5,15 @@ import pickle
 import random
 
 import pytest
+from helpers import dense, matmul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kch.dga import build_dga
-from kch.diagram import crossing_data
+from kch.dga import build_dga, build_matrices, relation_products
+from kch.diagram import apply_move, available_moves, crossing_data
 from kch.knots import bundled_knot, bundled_table
 from kch.laurent import MINUS_ONE, ONE, LaurentPoly
-from kch.ncalg import (Derivation, Generator, NCMatrix, NCPoly,
-                       nc_unit_normalize)
+from kch.ncalg import Derivation, Generator, NCPoly, nc_unit_normalize
 
 A12 = Generator("a", 1, 2)
 A21 = Generator("a", 2, 1)
@@ -148,17 +148,6 @@ def test_nc_unit_normalize():
         nc_unit_normalize(NCPoly.zero())
 
 
-def test_matrix_identity_and_product():
-    x = NCPoly.gen(A12)
-    mat = NCMatrix([[x, NCPoly.scalar(1)], [NCPoly.zero(), x]])
-    ident = NCMatrix.identity(2)
-    assert mat * ident == mat
-    sq = mat * mat
-    assert sq[0, 1] == x + x
-    with pytest.raises(ValueError):
-        NCMatrix([[x, x]])
-
-
 def test_derivation_leibniz_sign():
     # d(b) = a12, d(a12) = 0: then d(b*b) = a12*b - b*a12
     d = Derivation({B11: NCPoly.gen(A12), A12: NCPoly.zero()})
@@ -198,21 +187,6 @@ def _items(p):
     return list(p.terms.items())
 
 
-def _matmul_dense(a, b):
-    """Reference: the n^3 loop over every k, zero entries included."""
-    n = a.n
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            s = NCPoly.zero()
-            for k in range(n):
-                s = s + a[i, k] * b[k, j]
-            row.append(s)
-        out.append(row)
-    return NCMatrix(out)
-
-
 def _leibniz_by_products(d, p):
     """Reference: sum of prefix * d(letter) * suffix over every letter; the
     signs are unshared constants."""
@@ -229,66 +203,30 @@ def _leibniz_by_products(d, p):
     return out
 
 
-_WORDS = [()] + [(x,) for x in (A12, B11)] \
-    + [(x, y) for x in (A12, B11) for y in (A12, B11)]
-_COEFFS = [LaurentPoly.const(1), LaurentPoly.const(-1), LaurentPoly.mu(),
-           -LaurentPoly.mu(), LaurentPoly.lam() + 2]
-
-
-def _random_entry(rng):
-    """Nonzero NCPoly of 1-3 terms over two letters, words of length 0-2."""
-    terms = {}
-    for _ in range(rng.choice((1, 1, 2, 3))):
-        terms[rng.choice(_WORDS)] = rng.choice(_COEFFS)
-    return NCPoly(terms)
-
-
-def _random_matrix(rng, n):
-    """Sparse n x n matrix over two letters: zero rows and columns, scalar
-    entries, words of length 0-2 and coefficients that cancel."""
-    zero_row, zero_col = rng.randrange(n + 1), rng.randrange(n + 1)
-    return NCMatrix([[_random_entry(rng) if i != zero_row and j != zero_col
-                      and rng.random() < 0.5 else NCPoly.zero()
-                      for j in range(n)] for i in range(n)])
-
-
-def _banded(rng, n, dense):
-    """n x n matrix with no zero entry if dense, else 1-3 nonzero entries
-    in each row."""
-    rows = []
-    for _ in range(n):
-        keep = range(n) if dense else rng.sample(range(n), rng.randint(1, 3))
-        rows.append([_random_entry(rng) if k in keep else NCPoly.zero()
-                     for k in range(n)])
-    return NCMatrix(rows)
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_matrix_product_matches_dense_loop(seed):
+    # dB = PsiL.A and dC = A.PsiR, summed over the nonzero Psi entries
+    # alone, hold the terms, in the same key order, of the n^3 loop over
+    # every k on unshared coefficients; each diagram ends with an R1 kink,
+    # a degenerate crossing whose case-table entries coincide
     rng = random.Random(seed)
-    n = rng.randrange(1, 6)
-    a, b = _random_matrix(rng, n), _random_matrix(rng, n)
-    # the PsiL.A shape, rows of at most 3 nonzeros against dense columns,
-    # walks the row; the A.PsiR shape walks the column
-    m = rng.randrange(4, 8)
-    sparse, dense = _banded(rng, m, False), _banded(rng, m, True)
-    for a, b in ((a, b), (sparse, dense), (dense, NCMatrix(zip(*sparse.entries)))):
-        got, want = a * b, _matmul_dense(a, b)
-        for i in range(a.n):
-            for j in range(a.n):
-                assert _items(got[i, j]) == _items(want[i, j]), (i, j)
-
-
-def test_matrix_product_keeps_order_through_cancellation():
-    # the k = 1 product (1 + x)(x - 1) cancels its x internally, so the x
-    # from k = 0 keeps its place ahead of y*y
-    x, y = NCPoly.gen(A12), NCPoly.gen(B11)
-    one, zero = NCPoly.scalar(1), NCPoly.zero()
-    a = NCMatrix([[one, one + x], [zero, zero]])
-    b = NCMatrix([[-x + y * y, zero], [x - one, zero]])
-    got = (a * b)[0, 0]
-    assert _items(got) == _items(_matmul_dense(a, b)[0, 0])
-    assert list(got.terms) == [(A12,), (B11, B11), (), (A12, A12)]
+    pd = bundled_knot(rng.choice([name for name, _ in bundled_table()]))
+    steps = rng.randrange(1, 6)
+    for step in range(steps):
+        kinds = ("r1_add",) if step == steps - 1 else ("r1_add", "r2_add")
+        pd = apply_move(pd, rng.choice([m for m in available_moves(pd)
+                                        if m["move"] in kinds]))
+    cd = crossing_data(pd)
+    assert cd.degenerate
+    mats = build_matrices(cd)
+    db, dc = relation_products(mats)
+    a = [[_unshared(x) for x in row] for row in mats["A"]]
+    psi_l, psi_r = ([[_unshared(x) for x in row] for row in m] for m in (
+        dense(mats["psi_l"], pd.n), dense(mats["psi_r"], pd.n, columns=True)))
+    for got, want in ((db, matmul(psi_l, a)), (dc, matmul(a, psi_r))):
+        for i in range(pd.n):
+            for j in range(pd.n):
+                assert _exact(got[i][j]) == _exact(want[i][j]), (i, j)
 
 
 @pytest.mark.parametrize("name", [name for name, _ in bundled_table()])
@@ -323,16 +261,9 @@ def _mixed_poly(rng, max_terms=4, max_len=2):
     return NCPoly(terms)
 
 
-def _mixed_matrix(rng, n):
-    return NCMatrix([[_mixed_poly(rng) if rng.random() < 0.6 else NCPoly.zero()
-                      for _ in range(n)] for _ in range(n)])
-
-
 def _unshared(x):
-    """Copy of an NCPoly, NCMatrix or Derivation whose every coefficient is
-    a new LaurentPoly, so no shortcut of ncalg can fire on it."""
-    if isinstance(x, NCMatrix):
-        return NCMatrix([[_unshared(e) for e in row] for row in x.entries])
+    """Copy of an NCPoly or Derivation whose every coefficient is a new
+    LaurentPoly, so no shortcut of ncalg can fire on it."""
     if isinstance(x, Derivation):
         return Derivation({g: _unshared(img) for g, img in x.images.items()})
     return NCPoly({w: LaurentPoly(dict(c.terms)) for w, c in x.terms.items()})
@@ -343,25 +274,18 @@ def _exact(p):
     return [(w, list(c.terms.items())) for w, c in p.terms.items()]
 
 
-def _snapshot(*xs):
-    """Every term of the given NCPolys and NCMatrixes, in key order."""
-    out = []
-    for x in xs:
-        polys = [e for row in x.entries for e in row] \
-            if isinstance(x, NCMatrix) else [x]
-        out.append([_exact(p) for p in polys])
-    return out
+def _snapshot(*polys):
+    """Every term of the given NCPolys, in key order."""
+    return [_exact(p) for p in polys]
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_unit_shortcuts_match_generic_arithmetic(seed):
     rng = random.Random(seed)
     p, q = _mixed_poly(rng, 6), _mixed_poly(rng, 6)
-    n = rng.randrange(1, 5)
-    a, b = _mixed_matrix(rng, n), _mixed_matrix(rng, n)
     d = Derivation({g: _mixed_poly(rng, 3) for g in _LETTERS})
-    before = _snapshot(p, q, a, b, *d.images.values())
-    up, uq, ua, ub, ud = (_unshared(x) for x in (p, q, a, b, d))
+    before = _snapshot(p, q, *d.images.values())
+    up, uq, ud = (_unshared(x) for x in (p, q, d))
 
     assert _exact(p * q) == _exact(up * uq)
     assert _exact(p - q) == _exact(up - uq)
@@ -370,12 +294,10 @@ def test_unit_shortcuts_match_generic_arithmetic(seed):
                   (-1, LaurentPoly({(0, 0): -1})),
                   (LaurentPoly.mu(), LaurentPoly.mu())):
         assert _exact(p * s) == _exact(up * us)
-    got, want = a * b, _matmul_dense(ua, ub)
-    assert _snapshot(got) == _snapshot(want)
     for x in (p, q, p * q):
         assert _exact(d.apply(x)) \
             == _exact(_leibniz_by_products(ud, _unshared(x)))
-    assert _snapshot(p, q, a, b, *d.images.values()) == before
+    assert _snapshot(p, q, *d.images.values()) == before
     assert ONE.terms == {(0, 0): 1} and MINUS_ONE.terms == {(0, 0): -1}
 
 
