@@ -135,12 +135,12 @@ def cmd_parse(args):
 def cmd_dga(args):
     """The generator counts, which depend on n alone; the DGA is built
     only to be checked."""
-    run = Run(parse_pd(args.pd))
-    rep = {"schema": SCHEMA, "n": run.cd.n,
+    pd = parse_pd(args.pd)
+    rep = {"schema": SCHEMA, "n": pd.n,
            "generators": {"degree_%d" % k: v for k, v
-                          in sorted(generator_counts(run.cd.n).items())}}
+                          in sorted(generator_counts(pd.n).items())}}
     if args.check:
-        verdicts, failures = _check_report(run.dga)
+        verdicts, failures = _check_report(Run(pd).dga)
         rep.update(verdicts, failures=failures)
     return rep
 

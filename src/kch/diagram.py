@@ -19,6 +19,8 @@ Diagram components ("arcs") are maximal runs of edges uninterrupted by
 undercrossings; there are n of them, numbered by smallest edge label.
 Every move ``available_moves`` lists yields a planar diagram (``len(faces())
 == n + 2``); R2 takes the one planar chirality from the face it crosses.
+Each move that can be refused at its site is a site check plus a build;
+``available_moves`` and ``reduced`` call only the check.
 
 A ``PDCode`` is immutable and works out its embedding once: validation
 keeps each edge's darts and each crossing's over-in slot, and ``faces()``
@@ -105,6 +107,8 @@ class PDCode:
             # fwd and bwd only at n = 1, where the over strand is entered
             # right after the under-strand exits at c
             slots.append(1 if fwd and (b == c or not bwd) else 3)
+        # the edge rule: an over-in edge enters its own crossing, so it is
+        # no crossing's under-in edge, and the over-edges b, d lie on one arc
         bad = labels.difference(cr[k] for cr, s in zip(self.crossings, slots)
                                 for k in (0, s))
         if bad:
@@ -201,26 +205,14 @@ class CrossingData:
 def crossing_data(pd):
     """Derive over-arc, left/right under-arcs and the sign per crossing."""
     arc = pd.arc_of()
-    o, l, r, eps = [], [], [], []
-    degenerate = False
-    for ci, (a, b, c, d) in enumerate(pd.crossings):
+    rows = []  # (o, l, r, eps) per crossing
+    for ci, (a, b, c, _) in enumerate(pd.crossings):
         s = pd.sign(ci)
-        over = arc[b]
-        if arc[b] != arc[d]:
-            raise DiagramError("crossing %d: over-edges on different arcs"
-                               % (ci + 1))
-        if s == 1:
-            rr, ll = arc[a], arc[c]
-        else:
-            ll, rr = arc[a], arc[c]
-        if len({over, ll, rr}) < 3:
-            degenerate = True
-        o.append(over)
-        l.append(ll)
-        r.append(rr)
-        eps.append(s)
-    return CrossingData(n=pd.n, o=tuple(o), l=tuple(l), r=tuple(r),
-                        eps=tuple(eps), degenerate=degenerate)
+        ll, rr = (arc[c], arc[a]) if s == 1 else (arc[a], arc[c])
+        rows.append((arc[b], ll, rr, s))
+    o, l, r, eps = zip(*rows)
+    return CrossingData(n=pd.n, o=o, l=l, r=r, eps=eps, degenerate=any(
+        len(set(row[:3])) < 3 for row in rows))
 
 
 # -- parsing / serialization ------------------------------------------
@@ -397,8 +389,8 @@ def r2_add(pd, edge_over, edge_under):
     return _relabel(out)
 
 
-def r2_remove(pd, face_index):
-    """Undo a clasp: the face must be a bigon with a coherent over-strand."""
+def _clasp(pd, face_index):
+    """The two crossings of the removable clasp at a bigon face."""
     faces = pd.faces()
     if not 0 <= face_index < len(faces):
         raise MoveError("face index %r out of range" % (face_index,))
@@ -417,37 +409,42 @@ def r2_remove(pd, face_index):
     levels = [{pos % 2 for _, pos in pd.edge_darts()[z]} for z in (x, y)]
     if levels not in ([{0}, {1}], [{1}, {0}]):
         raise MoveError("bigon is not a removable clasp")
-    return _remove_crossings(pd, [c1, c2])
+    return [c1, c2]
+
+
+def r2_remove(pd, face_index):
+    """Undo a clasp: the face must be a bigon with a coherent over-strand."""
+    return _remove_crossings(pd, _clasp(pd, face_index))
 
 
 def _removals(pd):
-    """Candidate (move, site) pairs that shrink the diagram, kinks first;
-    the faces are traced only when no kink is left."""
-    for ci in range(pd.n):
-        if len(set(pd.crossings[ci])) < 4:
-            yield r1_remove, ci + 1
-    for fi, face in enumerate(pd.faces()):
-        if len(face) == 2:
-            yield r2_remove, fi
+    """The kinks and clasps that can come off, kinks first, as (move spec,
+    crossings to delete); the faces are traced only when no kink is left.
+    A removal must leave a crossing."""
+    if pd.n > 1:
+        for ci, cr in enumerate(pd.crossings):
+            if len(set(cr)) < 4:
+                yield {"move": "r1_remove", "crossing": ci + 1}, [ci]
+    if pd.n > 2:
+        for fi, face in enumerate(pd.faces()):
+            if len(face) == 2:
+                try:
+                    clasp = _clasp(pd, fi)
+                except MoveError:
+                    continue
+                yield {"move": "r2_remove", "face": fi}, clasp
 
 
 def reduced(pd):
-    """Remove kinks (R1) and clasps (R2) while one applies and more than one
-    crossing is left: the same knot in at most as many crossings."""
-    while pd.n > 1:
-        for move, site in _removals(pd):
-            try:
-                pd = move(pd, site)
-            except MoveError:  # this site does not apply
-                continue
-            break
-        else:
-            break
+    """Remove kinks (R1) and clasps (R2) while one applies: the same knot
+    in at most as many crossings."""
+    while (site := next(_removals(pd), None)) is not None:
+        pd = _remove_crossings(pd, site[1])
     return pd
 
 
-def r3(pd, face_index):
-    """Slide a strand across a crossing (triangle move).
+def _r3_rows(pd, face_index):
+    """The crossing rows after sliding a strand across a triangle face.
 
     The strand of a triangle side x runs pred(x) -> x -> succ(x) and meets
     its two triangle crossings in the opposite order after the move."""
@@ -475,45 +472,54 @@ def r3(pd, face_index):
         (uin, uout), (oin, oout) = p[0], p[1]
         out[ci] = ((uin, oout, uout, oin) if pd.sign(ci) == 1
                    else (uin, oin, uout, oout))
+    return out
+
+
+def r3(pd, face_index):
+    """Slide a strand across a crossing (triangle move)."""
+    rows = _r3_rows(pd, face_index)
     try:
-        return PDCode(out)
+        return PDCode(rows)
     except DiagramError as exc:
         raise MoveError("R3 produced an invalid diagram: %s" % exc) from None
 
 
 def apply_move(pd, move):
     """Apply a ReidemeisterSpec dict; see the individual move functions."""
+    if not isinstance(move, dict):
+        raise MoveError("move spec %r lacks the key 'move'" % (move,))
     kind = move.get("move")
+
+    def arg(key):
+        if key not in move:
+            raise MoveError("%s move needs the key %r" % (kind, key))
+        return move[key]
+
     if kind == "r1_add":
-        return r1_add(pd, move["edge"], move.get("sign", 1))
+        return r1_add(pd, arg("edge"), move.get("sign", 1))
     if kind == "r1_remove":
-        return r1_remove(pd, move["crossing"])
+        return r1_remove(pd, arg("crossing"))
     if kind == "r2_add":
-        s_e, s_f = _r2_sides(pd, move["over"], move["under"])
+        s_e, s_f = _r2_sides(pd, arg("over"), arg("under"))
         if move.get("chirality", -s_e * s_f) != -s_e * s_f:
             raise MoveError("this R2 is planar only with chirality %d"
                             % (-s_e * s_f))
         return r2_add(pd, move["over"], move["under"])
     if kind == "r2_remove":
-        return r2_remove(pd, move["face"])
+        return r2_remove(pd, arg("face"))
     if kind == "r3":
-        return r3(pd, move["face"])
+        return r3(pd, arg("face"))
     raise MoveError("unknown move %r" % (kind,))
 
 
 def available_moves(pd):
-    """Enumerate applicable move specs (deterministic order)."""
-    out = []
-    for e in range(1, pd.num_edges + 1):
-        for s in (1, -1):
-            out.append({"move": "r1_add", "edge": e, "sign": s})
-    if pd.n > 1:
-        for ci in range(pd.n):
-            if len(set(pd.crossings[ci])) < 4:
-                out.append({"move": "r1_remove", "crossing": ci + 1})
-    faces = pd.faces()
+    """Enumerate applicable move specs (deterministic order); the sites are
+    found by their checks alone, and nothing is built."""
+    out = [{"move": "r1_add", "edge": e, "sign": s}
+           for e in range(1, pd.num_edges + 1) for s in (1, -1)]
+    out.extend(spec for spec, _ in _removals(pd))
     chirality = {}  # r2_add reads the first face the two edges share
-    for face in faces:
+    for face in pd.faces():
         sides = _face_sides(pd, face)
         for e in sorted(sides):
             for f in sorted(sides):
@@ -521,16 +527,10 @@ def available_moves(pd):
                     chi = chirality.setdefault((e, f), -sides[e] * sides[f])
                     out.append({"move": "r2_add", "over": e, "under": f,
                                 "chirality": chi})
-    for fi, face in enumerate(faces):
-        if len(face) == 2:
+    for fi, face in enumerate(pd.faces()):
+        if len(face) == 3:
             try:
-                r2_remove(pd, fi)
-            except MoveError:
-                continue
-            out.append({"move": "r2_remove", "face": fi})
-        elif len(face) == 3:
-            try:
-                r3(pd, fi)
+                _r3_rows(pd, fi)
             except MoveError:
                 continue
             out.append({"move": "r3", "face": fi})

@@ -57,12 +57,40 @@ def test_validation_rules():
     with pytest.raises(DiagramError):
         PDCode([(1, 3, 2, 1), (3, 2, 4, 4)])
     # each edge enters exactly one crossing: edges 1 and 3 of the first
-    # code are entered at both ends (crossing_data also refuses it), and
-    # edges 2 and 4 of the second, one crossing listed twice (crossing_data
-    # took it)
+    # code are entered at both ends, and edges 2 and 4 of the second, one
+    # crossing listed twice (crossing_data took it)
     for rows in ([(1, 2, 2, 1), (3, 4, 4, 3)], [(4, 2, 1, 3), (4, 2, 1, 3)]):
         with pytest.raises(DiagramError, match="enter no crossing"):
             PDCode(rows)
+
+
+def test_over_edges_share_an_arc():
+    # rows X[a, b, a+1, d] with {b, d} = {o, o+1} are label-valid exactly
+    # when the entered labels a, o hit every label once, or the odd (or
+    # the even) labels twice each; the edge rule keeps only the first kind,
+    # and at n = 1 reads both kinds as a kink
+    rng = random.Random(19)
+    accepted = 0
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        m = 2 * n
+        entered = rng.choice([list(range(1, m + 1)),
+                              [x for x in range(1, m + 1, 2) for _ in "ab"],
+                              [x for x in range(2, m + 1, 2) for _ in "ab"]])
+        rng.shuffle(entered)
+        rows = []
+        for a, o in zip(entered[:n], entered[n:]):
+            b, d = rng.sample([o, o % m + 1], 2)
+            rows.append((a, b, a % m + 1, d))
+        try:
+            pd = PDCode(rows)
+        except DiagramError as exc:
+            assert "enter no crossing" in str(exc), rows
+            continue
+        accepted += 1
+        arc = {e: k for k, run in enumerate(pd.arcs()) for e in run}
+        assert all(arc[b] == arc[d] for _, b, _, d in pd.crossings), rows
+    assert accepted >= 500
 
 
 def test_signs_and_over_in():
@@ -402,6 +430,54 @@ def test_faces_are_traced_once_per_diagram(monkeypatch):
 def test_apply_move_unknown():
     with pytest.raises(MoveError):
         apply_move(parse_pd(UNKNOT), {"move": "r9"})
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"move": "r1_add"}, "edge"),
+    ({"move": "r1_remove"}, "crossing"),
+    ({"move": "r2_add", "over": 1}, "under"),
+    ({"move": "r2_remove"}, "face"),
+    ({"move": "r3"}, "face"),
+    ("r1_add", "move"),
+])
+def test_apply_move_names_a_missing_key(spec, key):
+    with pytest.raises(MoveError, match="the key '%s'" % key):
+        apply_move(parse_pd(TREFOIL_LH), spec)
+
+
+def test_available_moves_lists_every_site_that_builds():
+    # the converse of test_available_moves_all_apply; face 2 of the last
+    # code passes the clasp checks, but its removal would leave nothing
+    pd2 = parse_pd("PD[X[1,1,2,4],X[2,3,3,4]]")
+    with pytest.raises(MoveError, match="would leave no crossings"):
+        r2_remove(pd2, 2)
+    for pd in _walk_probe(3, 1) + (pd2,):
+        faces = range(len(pd.faces()))
+        built = {(move.__name__, site)
+                 for move, sites in ((r1_remove, range(1, pd.n + 1)),
+                                     (r2_remove, faces), (r3, faces))
+                 for site in sites
+                 if isinstance(_outcome(move, pd, site), list)}
+        listed = {(m["move"], m.get("crossing", m.get("face")))
+                  for m in available_moves(pd)
+                  if m["move"] in ("r1_remove", "r2_remove", "r3")}
+        assert listed == built, to_text(pd)
+
+
+def test_available_moves_builds_no_diagram(monkeypatch):
+    built = []
+    init = PDCode.__init__
+
+    def counting(self, crossings):
+        built.append(crossings)
+        init(self, crossings)
+
+    probe = _walk_probe(3, 1)
+    monkeypatch.setattr(PDCode, "__init__", counting)
+    kinds = collections.Counter(m["move"] for pd in probe
+                                for m in available_moves(pd))
+    assert not built
+    assert kinds["r2_remove"] and kinds["r3"] and kinds["r1_remove"]
 
 
 def test_available_moves_all_apply():
