@@ -213,10 +213,10 @@ def distinguish(s1, s2):
     return s1.tables != s2.tables
 
 
-def first_difference(s1, s2):
-    for t1, t2 in zip(s1.tables, s2.tables):
-        for ((pt1, c1), (pt2, c2)) in zip(t1.counts, t2.counts):
-            if c1 != c2:
-                return {"p": t1.p, "lambda": pt1[0], "mu": pt1[1],
-                        "counts": [c1, c2]}
+def first_difference(t1, t2):
+    """The first point, in table order, where two AugTables of one prime
+    differ, as {"p", "lambda", "mu", "counts": [c1, c2]}; None if equal."""
+    for ((l0, m0), c1), (_, c2) in zip(t1.counts, t2.counts):
+        if c1 != c2:
+            return {"p": t1.p, "lambda": l0, "mu": m0, "counts": [c1, c2]}
     return None

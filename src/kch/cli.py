@@ -190,12 +190,19 @@ def cmd_apoly_check(args):
 
 
 def cmd_compare(args):
-    # signatures are knot invariants: kinks and clasps come off first
-    pds = [parse_pd(args.pd_a), parse_pd(args.pd_b)]
-    sig_a, sig_b = [Run(reduced(pd)).signature(args.primes) for pd in pds]
-    return {"schema": SCHEMA,
-            "distinguished": distinguish(sig_a, sig_b),
-            "first_difference": first_difference(sig_a, sig_b)}
+    # counts are knot invariants: kinks and clasps come off first
+    pd_a, pd_b = map(reduced, (parse_pd(args.pd_a), parse_pd(args.pd_b)))
+    for p in args.primes:
+        _check_prime(p)
+    # equal diagrams share one run, whose table never differs from itself
+    runs = [Run(pd_a)] if pd_a == pd_b else [Run(pd_a), Run(pd_b)]
+    diff = None
+    for p in args.primes:  # nothing past the first prime that differs
+        tables = [count_augmentations(run.simplified, p) for run in runs]
+        if diff := first_difference(tables[0], tables[-1]):
+            break
+    return {"schema": SCHEMA, "distinguished": diff is not None,
+            "first_difference": diff}
 
 
 def cmd_table(args):

@@ -310,10 +310,16 @@ def test_signature_and_distinguish():
     sig_lh = aug_signature(bundled_knot("trefoil_lh"), [2, 3, 5, 7])
     sig_rh = aug_signature(bundled_knot("trefoil_rh"), [2, 3, 5, 7])
     assert distinguish(sig_lh, sig_rh)
-    diff = first_difference(sig_lh, sig_rh)
-    assert diff is not None and diff["p"] in (2, 3, 5, 7)
+    # the trefoils' tables agree at p = 2 and 3 and first differ at 5
+    diffs = [first_difference(t_lh, t_rh)
+             for t_lh, t_rh in zip(sig_lh.tables, sig_rh.tables)]
+    assert diffs[:2] == [None, None]
+    t_lh, t_rh = sig_lh.tables[2].as_dict(), sig_rh.tables[2].as_dict()
+    point = next(pt for pt in t_lh if t_lh[pt] != t_rh[pt])
+    assert diffs[2] == {"p": 5, "lambda": point[0], "mu": point[1],
+                        "counts": [t_lh[point], t_rh[point]]}
     assert not distinguish(sig_lh, sig_lh)
-    assert first_difference(sig_lh, sig_lh) is None
+    assert all(first_difference(t, t) is None for t in sig_lh.tables)
     with pytest.raises(ValueError):
         distinguish(sig_lh, aug_signature(bundled_knot("trefoil_rh"), [2, 3]))
 

@@ -4,8 +4,10 @@ import argparse
 import collections
 import functools
 import hashlib
+import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,15 +20,19 @@ import kch.cli
 import kch.dga
 import kch.hc0
 import kch.pipeline
+from kch.augment import distinguish
 from kch.cli import build_parser, main
-from kch.diagram import apply_move, available_moves, parse_pd, to_text
+from kch.diagram import (apply_move, available_moves, mirror, parse_pd,
+                         reduced, to_text)
 from kch.knots import bundled_knot, bundled_table
 from kch.laurent import MINUS_ONE, ONE, LaurentPoly
 from kch.ncalg import NCPoly
+from kch.pipeline import Run
 
 TREFOIL_LH = "PD[X[3,6,4,1],X[5,2,6,3],X[1,4,2,5]]"
 TREFOIL_RH = "PD[X[6,4,1,3],X[2,6,3,5],X[4,2,5,1]]"
 UNKNOT = "PD[X[1,1,2,2]]"
+FIGURE8 = "PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]"
 # TREFOIL_LH with one more clasp (R2)
 R2_TREFOIL_LH = ("PD[X[3,10,4,1],X[7,2,8,3],X[1,6,2,7],X[9,4,10,5],"
                  "X[8,6,9,5]]")
@@ -237,9 +243,8 @@ def test_apoly_check(capsys):
 
 
 def test_apoly_check_unsupported_exit_1(capsys):
-    fig8 = "PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]"
     code, _, err = run_cli(capsys, "apoly-check", "--apoly", "1 + l*m^6",
-                           "--pd", fig8)
+                           "--pd", FIGURE8)
     assert code == 1
     assert "unsupported" in err
 
@@ -256,6 +261,91 @@ def test_compare(capsys):
     rep = json.loads(out)
     assert rep["distinguished"] is False
     assert rep["first_difference"] is None
+
+
+def _signature(code, primes):
+    return Run(reduced(parse_pd(code))).signature(primes)
+
+
+def _expected_compare(sig_a, sig_b):
+    """The compare report read off two full signatures: the first
+    differing entry in prime order, then in table order."""
+    diff = next(({"p": t_a.p, "lambda": l0, "mu": m0, "counts": [c_a, c_b]}
+                 for t_a, t_b in zip(sig_a.tables, sig_b.tables)
+                 for ((l0, m0), c_a), (_, c_b) in zip(t_a.counts, t_b.counts)
+                 if c_a != c_b), None)
+    return {"schema": 1, "distinguished": distinguish(sig_a, sig_b),
+            "first_difference": diff}
+
+
+def test_compare_matches_full_signatures(capsys):
+    codes = [code for _, code in bundled_table()]
+    codes += [to_text(mirror(parse_pd(code))) for code in codes]
+    sigs = {code: _signature(code, [2, 3, 5, 7]) for code in codes}
+    for code_a, code_b in itertools.product(codes, repeat=2):
+        code, out, _ = run_cli(capsys, "compare", "--pd-a", code_a,
+                               "--pd-b", code_b, "--primes", "2,3,5,7")
+        assert code == 0
+        assert json.loads(out) == _expected_compare(sigs[code_a],
+                                                    sigs[code_b])
+    rng = random.Random(23)
+    for name, code_a in bundled_table():
+        pd = parse_pd(code_a)
+        code_b = to_text(apply_move(pd, rng.choice(
+            [m for m in available_moves(pd) if m["move"] == "r2_add"])))
+        code, out, _ = run_cli(capsys, "compare", "--pd-a", code_a,
+                               "--pd-b", code_b, "--primes", "7,2,5,3")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep == _expected_compare(_signature(code_a, [7, 2, 5, 3]),
+                                        _signature(code_b, [7, 2, 5, 3]))
+        assert rep["distinguished"] is False, name
+
+
+def test_compare_checks_its_primes_before_counting(capsys):
+    # the tables differ at p = 2, so only the check up front reaches 131
+    code, out, err = run_cli(capsys, "compare", "--pd-a", TREFOIL_RH,
+                             "--pd-b", FIGURE8, "--primes", "2,131")
+    assert code == 1 and out == ""
+    assert err == ("kch: count: prime 131 exceeds the bound 127 of the "
+                   "packed point search\n")
+
+
+@pytest.mark.parametrize("code_a, code_b, counted", [
+    # the trefoils' tables first differ at p = 5
+    pytest.param(TREFOIL_LH, TREFOIL_RH, [2, 2, 3, 3, 5, 5], id="mirrors"),
+    # both reduce to one diagram, counted once per prime
+    pytest.param(R2_TREFOIL_LH, TREFOIL_LH, [2, 3, 5, 7, 11], id="r2-copy"),
+])
+def test_compare_counts_only_what_it_reports(capsys, monkeypatch, code_a,
+                                             code_b, counted):
+    primes = []
+
+    def recording(pres, p):
+        primes.append(p)
+        return count(pres, p)
+
+    count = kch.cli.count_augmentations
+    monkeypatch.setattr(kch.cli, "count_augmentations", recording)
+    code, _, _ = run_cli(capsys, "compare", "--pd-a", code_a,
+                         "--pd-b", code_b, "--primes", "2,3,5,7,11")
+    assert code == 0
+    assert primes == counted
+
+
+def test_compare_stops_counting_at_the_first_difference(capsys,
+                                                        monkeypatch):
+    # the trefoils' counts charge 208 at p = 5 and 540 at p = 7
+    monkeypatch.setattr(kch.augment, "MAX_COUNT_WORK", 300)
+    code, out, _ = run_cli(capsys, "compare", "--pd-a", TREFOIL_LH,
+                           "--pd-b", TREFOIL_RH, "--primes", "2,3,5,7")
+    assert code == 0
+    assert json.loads(out)["first_difference"]["p"] == 5
+    # equal tables are counted at every prime, so p = 7 passes the bound
+    code, out, err = run_cli(capsys, "compare", "--pd-a", TREFOIL_LH,
+                             "--pd-b", R2_TREFOIL_LH, "--primes", "2,3,5,7")
+    assert code == 1 and out == ""
+    assert err == "kch: count: search work exceeds the bound 300\n"
 
 
 def test_table_with_file(capsys, tmp_path):
@@ -415,6 +505,9 @@ _COUNTED = dict(_SIMPLIFIED, commutative=1)
                  1, _COUNTED, id="apoly-check"),
     pytest.param(["compare", "--pd-a", TREFOIL_LH, "--pd-b", TREFOIL_RH], 2,
                  _COUNTED, id="compare"),
+    # both sides reduce to one diagram, which runs once
+    pytest.param(["compare", "--pd-a", TREFOIL_LH, "--pd-b", R2_TREFOIL_LH],
+                 1, _COUNTED, id="compare-r2-copy"),
     # the presentation comes from the DGA's dB and dC, and one
     # abelianization serves every prime and the augmentation polynomial
     pytest.param(["table", "KNOTS", "--primes", "2,3"], 2,
