@@ -129,14 +129,14 @@ def _check_report(dga):
 
 
 def cmd_parse(args):
-    return {"schema": SCHEMA, **_diagram_stats(Run(parse_pd(args.pd)))}
+    return _diagram_stats(Run(parse_pd(args.pd)))
 
 
 def cmd_dga(args):
     """The generator counts, which depend on n alone; the DGA is built
     only to be checked."""
     pd = parse_pd(args.pd)
-    rep = {"schema": SCHEMA, "n": pd.n,
+    rep = {"n": pd.n,
            "generators": {"degree_%d" % k: v for k, v
                           in sorted(generator_counts(pd.n).items())}}
     if args.check:
@@ -148,7 +148,7 @@ def cmd_dga(args):
 def cmd_hc0(args):
     run = Run(parse_pd(args.pd))
     pres = run.presentation if args.no_simplify else run.simplified
-    return {"schema": SCHEMA, **_presentation_report(pres),
+    return {**_presentation_report(pres),
             "eliminated": len(run.presentation.generators)
             - len(pres.generators)}
 
@@ -164,13 +164,12 @@ def cmd_aug(args):
     entries = [{"lambda": l0, "mu": m0, "count": c}
                for (l0, m0), c in table.counts
                if args.lam0 in (None, l0) and args.mu0 in (None, m0)]
-    return {"schema": SCHEMA, "p": table.p, "table": entries,
+    return {"p": table.p, "table": entries,
             "total": sum(e["count"] for e in entries)}
 
 
 def cmd_augpoly(args):
-    return {"schema": SCHEMA,
-            **Run(parse_pd(args.pd)).augpoly.as_json_obj()}
+    return Run(parse_pd(args.pd)).augpoly.as_json_obj()
 
 
 def cmd_apoly_check(args):
@@ -185,8 +184,7 @@ def cmd_apoly_check(args):
     if not res.supported:
         raise ComputationError(
             "augmentation polynomial unsupported: %s" % "; ".join(res.warnings))
-    return {"schema": SCHEMA,
-            "divides": check_apoly_divisibility(res.polynomial, apoly)}
+    return {"divides": check_apoly_divisibility(res.polynomial, apoly)}
 
 
 def cmd_compare(args):
@@ -201,8 +199,7 @@ def cmd_compare(args):
         tables = [count_augmentations(run.simplified, p) for run in runs]
         if diff := first_difference(tables[0], tables[-1]):
             break
-    return {"schema": SCHEMA, "distinguished": diff is not None,
-            "first_difference": diff}
+    return {"distinguished": diff is not None, "first_difference": diff}
 
 
 def cmd_table(args):
@@ -230,15 +227,14 @@ def cmd_table(args):
             rep["signature"] = sig.as_json_obj()
             rep["augmentation_polynomial"] = run.augpoly.as_json_obj()
             signatures[name] = sig  # only a knot with no error is compared
-        except (DiagramError, IntractableError, ValueError) as exc:
+        except (DiagramError, IntractableError) as exc:
             rep["error"] = str(exc)
         reports.append(rep)
     names = [r["name"] for r in reports]
     matrix = [[distinguish(signatures[a], signatures[b])
                if a in signatures and b in signatures else None
                for b in names] for a in names]
-    return {"schema": SCHEMA, "knots": reports,
-            "distinguish_matrix": matrix}
+    return {"knots": reports, "distinguish_matrix": matrix}
 
 
 _COMMANDS = {
@@ -277,7 +273,7 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        report = _COMMANDS[args.command](args)
+        report = {"schema": SCHEMA, **_COMMANDS[args.command](args)}
     except DiagramError as exc:
         print("kch: %s" % exc, file=sys.stderr)
         return 2

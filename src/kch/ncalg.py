@@ -7,13 +7,15 @@ graded Leibniz rule  d(uv) = d(u)v + (-1)^{deg u} u d(v).
 
 Most coefficients of the framed DGA are the shared constants ``ONE`` and
 ``MINUS_ONE`` of ``laurent`` (``NCPoly.gen`` and ``NCPoly.scalar`` use
-them).  Three kernels skip the Laurent call when a factor ``is`` one of
-them: ``_mul_into`` (every NCPoly product, each entry of the DGA's
-matrix products, and each splice of ``NCPoly.substitute``) takes the
-other factor or its negation, ``Derivation.apply`` does the same for the
-Leibniz rule's image coefficient times sign, and ``_accumulate`` deletes
-a term where ONE meets MINUS_ONE.  The tests are by identity, so an unshared 1 takes the
-generic path and gives the same result.
+them).  Every word product is one kernel, ``_splice_into``, which puts
+the words of a term dict between a prefix and a suffix: ``_mul_into``
+(every NCPoly product and each entry of the DGA's matrix products) calls
+it per left term, ``NCPoly.substitute`` per occurrence of the letter and
+``Derivation.apply`` per letter of the Leibniz rule.  It skips the Laurent
+call when a factor ``is`` one of the constants, taking the other factor or
+its negation, and ``_accumulate`` deletes a term where ONE meets
+MINUS_ONE.  The tests are by identity, so an unshared 1 takes the generic
+path and gives the same result.
 
 ``Derivation.apply`` reads ``images`` at each call, splices only letters
 with a nonzero image (no a_ij has one), and carries the Leibniz sign as
@@ -95,21 +97,28 @@ def _accumulate(terms, word, c):
         del terms[word]
 
 
+def _splice_into(terms, s, right, pre=(), post=()):
+    """Accumulate s*c at pre + w + post into terms for each word w and
+    coefficient c of the term dict right; a factor ONE or MINUS_ONE
+    makes no Laurent product."""
+    if s is ONE:
+        for w, c in right.items():
+            _accumulate(terms, pre + w + post, c)
+    elif s is MINUS_ONE:
+        for w, c in right.items():
+            _accumulate(terms, pre + w + post, MINUS_ONE if c is ONE else
+                        ONE if c is MINUS_ONE else -c)
+    else:
+        for w, c in right.items():
+            _accumulate(terms, pre + w + post, s if c is ONE else
+                        -s if c is MINUS_ONE else s * c)
+
+
 def _mul_into(terms, left, right):
     """Accumulate the products of the words and coefficients of two term
-    dicts into terms; a factor ONE or MINUS_ONE makes no Laurent product."""
-    for w1, c1 in left.items():
-        if c1 is ONE:
-            for w2, c2 in right.items():
-                _accumulate(terms, w1 + w2, c2)
-        elif c1 is MINUS_ONE:
-            for w2, c2 in right.items():
-                _accumulate(terms, w1 + w2, MINUS_ONE if c2 is ONE else
-                            ONE if c2 is MINUS_ONE else -c2)
-        else:
-            for w2, c2 in right.items():
-                _accumulate(terms, w1 + w2, c1 if c2 is ONE else
-                            -c1 if c2 is MINUS_ONE else c1 * c2)
+    dicts into terms."""
+    for w, c in left.items():
+        _splice_into(terms, c, right, w)
 
 
 def _poly(terms):
@@ -211,13 +220,11 @@ class NCPoly:
             cuts = [k for k, x in enumerate(w) if x == g]
             parts = {w[:cuts[0]]: c}
             for k, end in zip(cuts, cuts[1:] + [len(w)]):
-                tail = w[k + 1:end]
-                spliced = {}
-                _mul_into(spliced, parts, rterms if not tail else
-                          {rw + tail: rc for rw, rc in rterms.items()})
+                # the last splice writes straight into the result
+                spliced = t if end == len(w) else {}
+                for pw, pc in parts.items():
+                    _splice_into(spliced, pc, rterms, pw, w[k + 1:end])
                 parts = spliced
-            for pw, pc in parts.items():
-                _accumulate(t, pw, pc)
         return _poly(t)
 
     def sorted_terms(self):
@@ -291,23 +298,10 @@ class Derivation:
                 if img is None:
                     raise KeyError("no differential image for %s" % g.name())
                 if img.terms:
-                    pre, post = w[:k], w[k + 1:]
                     if odd and neg is None:
                         neg = -c
-                    s = neg if odd else c
-                    if s is ONE:
-                        for rw, rc in img.terms.items():
-                            _accumulate(t, pre + rw + post, rc)
-                    elif s is MINUS_ONE:
-                        for rw, rc in img.terms.items():
-                            _accumulate(t, pre + rw + post,
-                                        MINUS_ONE if rc is ONE else
-                                        ONE if rc is MINUS_ONE else -rc)
-                    else:
-                        for rw, rc in img.terms.items():
-                            _accumulate(t, pre + rw + post, s if rc is ONE
-                                        else -s if rc is MINUS_ONE
-                                        else rc * s)
+                    _splice_into(t, neg if odd else c, img.terms, w[:k],
+                                 w[k + 1:])
                 if _B <= g < _D:
                     odd = not odd
         return _poly(t)

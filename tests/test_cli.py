@@ -375,6 +375,19 @@ def test_table_knot_with_error_is_not_compared(capsys, tmp_path):
     assert "augmentation_polynomial" not in torus
 
 
+def test_table_stage_value_error_propagates(tmp_path, monkeypatch):
+    # the primes are checked before any knot, so no stage raises a plain
+    # ValueError on a knot's input: one is a bug, not that knot's "error"
+    # entry that drops it from the distinguish matrix
+    def broken(pres):
+        raise ValueError("stage bug")
+    monkeypatch.setattr(kch.pipeline, "augmentation_polynomial", broken)
+    f = tmp_path / "knots.txt"
+    f.write_text("unknot: %s\n" % UNKNOT)
+    with pytest.raises(ValueError, match="stage bug"):
+        main(["table", str(f), "--primes", "2"])
+
+
 def test_table_empty_file(capsys, tmp_path):
     f = tmp_path / "empty.txt"
     f.write_text("# nothing here\n\n")

@@ -396,5 +396,5 @@ def test_simplify_output_bytes_are_pinned():
         given = {id(g) for r in pres.relations for w in r.terms for g in w}
         assert all(id(g) in given for r in out.relations + [
             r for _, r in out.substitution_log] for w in r.terms for g in w)
-    assert h.hexdigest() == ("cff9efd0252a230e4eb0cb4a3cdf777f"
-                            "76cdf4c61518c94203590738a148db69")
+    assert h.hexdigest() == ("30b7a49725c7f8779861f5a273419233"
+                            "ec45ac72e8d3a2d97752401641a87fcc")

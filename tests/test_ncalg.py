@@ -189,15 +189,16 @@ def _items(p):
 
 def _leibniz_by_products(d, p):
     """Reference: sum of prefix * d(letter) * suffix over every letter; the
-    signs are unshared constants."""
+    signs and the suffix's coefficient are unshared constants, and the
+    term's coefficient rides on the prefix, as ncalg multiplies it first."""
     out = NCPoly.zero()
     for w, c in p.terms.items():
         sign = 1
         for k, g in enumerate(w):
             img = d.images[g]
             if img:
-                out = out + NCPoly({w[:k]: LaurentPoly({(0, 0): sign})}) \
-                    * img * NCPoly({w[k + 1:]: c})
+                out = out + NCPoly({w[:k]: LaurentPoly({(0, 0): sign}) * c}) \
+                    * img * NCPoly({w[k + 1:]: LaurentPoly({(0, 0): 1})})
             if g.degree % 2:
                 sign = -sign
     return out
@@ -311,6 +312,8 @@ _mixed_polys = st.dictionaries(
 @given(_mixed_polys, _mixed_polys, st.sampled_from(_LETTERS))
 def test_substitute_shortcuts_match_unshared_coefficients(p, r, g):
     # shared ONE and MINUS_ONE take substitute's shortcuts; unshared
-    # copies of them take the Laurent products, to the same terms
+    # copies of them take the Laurent products, to the same terms; both
+    # equal the letter-by-letter products, on words where g repeats
     assert _exact(p.substitute(g, r)) \
         == _exact(_unshared(p).substitute(g, _unshared(r)))
+    assert p.substitute(g, r) == _substitute_by_letters(p, g, r)
