@@ -25,8 +25,8 @@ from .ncalg import Derivation, Generator, NCPoly, _mul_into, _poly
 # The DGA of a diagram with more crossings than this is refused before
 # anything is allocated.  It has 4n^2 generators, and building and
 # checking it costs time and memory in proportion: `kch dga --check` on
-# figure8 grown by R1 kinks took 1.9 s and 66 MB at n = 128, 6.4 s and
-# 215 MB at n = 256 (2-core VM, Python 3.11.7).
+# the unknot drawn with n R1 kinks took 0.4-0.6 s and 45 MB at n = 128,
+# 1.9-2.2 s and 133 MB at n = 256 (2-core VM, Python 3.11.7).
 MAX_DGA_CROSSINGS = 256
 
 

@@ -524,9 +524,9 @@ def available_moves(pd):
         for e in sorted(sides):
             for f in sorted(sides):
                 if e != f:
-                    chi = chirality.setdefault((e, f), -sides[e] * sides[f])
-                    out.append({"move": "r2_add", "over": e, "under": f,
-                                "chirality": chi})
+                    chirality.setdefault((e, f), -sides[e] * sides[f])
+    out.extend({"move": "r2_add", "over": e, "under": f, "chirality": chi}
+               for (e, f), chi in chirality.items())
     for fi, face in enumerate(pd.faces()):
         if len(face) == 3:
             try:

@@ -6,15 +6,17 @@ pairs (i, j) to nonzero integer coefficients; the dict is kept in canonical
 form, so structural equality is equality of values.  Coefficients are
 Python ints, hence arbitrary precision.
 
-Values are immutable: every operation builds a new ``LaurentPoly`` and no
-code writes to ``.terms`` after construction, so one value may be shared
-by many containers.  ``LaurentPoly.const(1)`` and ``const(-1)`` return the
-shared module constants ``ONE`` and ``MINUS_ONE``; negation maps each to
-the other and ``inverse_unit`` each to itself.  ``ncalg`` skips the Laurent
-product and negation when a coefficient ``is`` one of them, and cancels
-ONE against MINUS_ONE.  The shortcuts test identity, so an unshared 1
-(``LaurentPoly({(0, 0): 1})``) is just as correct, only slower.  A product
-with a one-term factor (a monomial) shifts and scales the other factor.
+Values are immutable: no code writes to ``.terms`` after construction,
+so one value may be shared by many containers.  Every unit ±l^i*m^j made
+by ``const``, ``unit``, ``lam``, ``mu``, ``inverse_unit``, a sum or a
+product of two shared units is the one shared value for (±1, i, j), kept
+for the life of the process; ``ONE`` and ``MINUS_ONE`` are the shared ±1.
+A shared unit holds its shared negation in ``neg``, which negation returns.
+``ncalg`` skips the Laurent product and negation when a coefficient
+``is`` ONE or MINUS_ONE, and cancels a unit that meets its ``neg``.  The
+shortcuts test identity, so an unshared unit (``LaurentPoly({(0, 0): 1})``)
+is just as correct, only slower.  A product with a one-term factor (a
+monomial) shifts and scales the other factor.
 
 Exact division has one kernel, ``_quotient``: it strips both sides to least
 exponents 0, so that l and m divide neither, and divides in Z[l, m] by
@@ -48,10 +50,11 @@ def _mul_into(acc, a, b, sign):
 class LaurentPoly:
     """Element of Z[l^±1, m^±1], canonical sparse form.
 
-    Immutable: never write to ``.terms``, which may be shared (``ONE`` and
-    ``MINUS_ONE`` are the values of ``const(1)`` and ``const(-1)``)."""
+    Immutable: never write to ``.terms``, which may be shared.  A shared
+    unit ±l^i*m^j holds its shared negation in ``neg``; every other value
+    has ``neg = None``."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "neg")
 
     def __init__(self, terms=None):
         t = {}
@@ -60,6 +63,7 @@ class LaurentPoly:
                 if c:
                     t[(i, j)] = c
         self.terms = t
+        self.neg = None
 
     # -- constructors -------------------------------------------------
 
@@ -70,24 +74,22 @@ class LaurentPoly:
     @classmethod
     def const(cls, c):
         """The constant c; the shared ONE or MINUS_ONE for c = 1 or -1."""
-        if c == 1:
-            return ONE
-        if c == -1:
-            return MINUS_ONE
-        return cls({(0, 0): c})
+        return cls.unit(c)
 
     @classmethod
     def unit(cls, c=1, i=0, j=0):
-        """The monomial c * l^i * m^j."""
+        """The monomial c * l^i * m^j, the shared one when c is 1 or -1."""
+        if c == 1 or c == -1:
+            return _shared_unit(c, i, j)
         return cls({(i, j): c})
 
     @classmethod
     def lam(cls, e=1):
-        return cls({(e, 0): 1})
+        return cls.unit(1, e, 0)
 
     @classmethod
     def mu(cls, e=1):
-        return cls({(0, e): 1})
+        return cls.unit(1, 0, e)
 
     # -- ring structure -----------------------------------------------
 
@@ -105,11 +107,9 @@ class LaurentPoly:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
-        if self is ONE:
-            return MINUS_ONE
-        if self is MINUS_ONE:
-            return ONE
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
+        if self.neg is not None:
+            return self.neg
+        return _laurent({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -121,9 +121,11 @@ class LaurentPoly:
                 t[e] = s
             elif e in t:
                 del t[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = t
-        return out
+        if len(t) == 1:
+            ((i, j), c), = t.items()
+            if c == 1 or c == -1:
+                return _shared_unit(c, i, j)
+        return _laurent(t)
 
     __radd__ = __add__
 
@@ -141,17 +143,19 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self.terms, other.terms
-        out = LaurentPoly.__new__(LaurentPoly)
+        if self.neg is not None and other.neg is not None:
+            ((i1, j1), c1), = a.items()
+            ((i2, j2), c2), = b.items()
+            return _shared_unit(c1 * c2, i1 + i2, j1 + j2)
         if len(a) == 1:
             a, b = b, a
         if len(b) == 1:
             ((i, j), c), = b.items()
-            out.terms = {(ai + i, aj + j): ac * c
-                         for (ai, aj), ac in a.items()}
-        else:
-            out.terms = {}
-            _mul_into(out.terms, a, b, 1)
-        return out
+            return _laurent({(ai + i, aj + j): ac * c
+                             for (ai, aj), ac in a.items()})
+        t = {}
+        _mul_into(t, a, b, 1)
+        return _laurent(t)
 
     __rmul__ = __mul__
 
@@ -182,7 +186,7 @@ class LaurentPoly:
             raise ValueError("not a unit of the Laurent ring: %s"
                              % render(self))
         c, i, j = self.as_unit()
-        return LaurentPoly.unit(c, -i, -j) if i or j else LaurentPoly.const(c)
+        return LaurentPoly.unit(c, -i, -j)
 
     def min_exponents(self):
         if not self.terms:
@@ -232,9 +236,28 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % render(self)
 
 
+def _laurent(terms):
+    """LaurentPoly owning terms, which must hold no zero coefficient."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.terms, out.neg = terms, None
+    return out
+
+
+_UNITS = {}  # (c, i, j) -> the shared unit c*l^i*m^j, c = 1 or -1
+
+
+def _shared_unit(c, i, j):
+    u = _UNITS.get((c, i, j))
+    if u is None:
+        u, n = _laurent({(i, j): c}), _laurent({(i, j): -c})
+        u.neg, n.neg = n, u
+        _UNITS[(c, i, j)], _UNITS[(-c, i, j)] = u, n
+    return u
+
+
 ZERO = LaurentPoly.zero()
-ONE = LaurentPoly({(0, 0): 1})
-MINUS_ONE = LaurentPoly({(0, 0): -1})
+ONE = LaurentPoly.unit(1)
+MINUS_ONE = ONE.neg
 
 
 def _render_monomial(i, j):
@@ -471,9 +494,7 @@ def pairwise_resultants(polys):
             if other is not None:
                 sign = -1 if (_column_sum(mask) - base) & 1 else 1
                 _mul_into(acc, top, other, sign)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = acc
-        out.append(res)
+        out.append(_laurent(acc))
     return out
 
 

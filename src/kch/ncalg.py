@@ -5,17 +5,17 @@ generators.  Coefficients are central; words multiply by concatenation.
 Derivations are stored on generators only and extended to words by the
 graded Leibniz rule  d(uv) = d(u)v + (-1)^{deg u} u d(v).
 
-Most coefficients of the framed DGA are the shared constants ``ONE`` and
-``MINUS_ONE`` of ``laurent`` (``NCPoly.gen`` and ``NCPoly.scalar`` use
-them).  Every word product is one kernel, ``_splice_into``, which puts
-the words of a term dict between a prefix and a suffix: ``_mul_into``
-(every NCPoly product and each entry of the DGA's matrix products) calls
-it per left term, ``NCPoly.substitute`` per occurrence of the letter and
-``Derivation.apply`` per letter of the Leibniz rule.  It skips the Laurent
-call when a factor ``is`` one of the constants, taking the other factor or
-its negation, and ``_accumulate`` deletes a term where ONE meets
-MINUS_ONE.  The tests are by identity, so an unshared 1 takes the generic
-path and gives the same result.
+Most coefficients of the framed DGA are shared units ±l^a*m^b of
+``laurent``, whose negations and products are shared too.  Every word
+product is one kernel, ``_splice_into``, which puts the words of a term
+dict between a prefix and a suffix: ``_mul_into`` (every NCPoly product
+and each entry of the DGA's matrix products) calls it per left term,
+``NCPoly.substitute`` per occurrence of the letter and ``Derivation.apply``
+per letter of the Leibniz rule.  It skips the Laurent call when a factor
+``is`` ONE or MINUS_ONE, taking the other factor or its negation, and
+``_accumulate`` deletes a term where a shared unit meets its ``neg``.  The
+tests are by identity, so an unshared unit takes the generic path and
+gives the same result.
 
 ``Derivation.apply`` reads ``images`` at each call, splices only letters
 with a nonzero image (no a_ij has one), and carries the Leibniz sign as
@@ -73,10 +73,6 @@ _B = _SPAN2
 _D = 3 * _SPAN2
 
 
-def word_degree(word):
-    return sum((g >= _B) + (g >= _D) for g in word)
-
-
 def _word_key(word):
     """Shorter words first, then letter by letter."""
     return (len(word), word)
@@ -86,7 +82,7 @@ def _accumulate(terms, word, c):
     s = terms.get(word)
     if s is None:
         s = c
-    elif s is ONE and c is MINUS_ONE or s is MINUS_ONE and c is ONE:
+    elif c is s.neg:
         del terms[word]
         return
     else:
@@ -106,8 +102,7 @@ def _splice_into(terms, s, right, pre=(), post=()):
             _accumulate(terms, pre + w + post, c)
     elif s is MINUS_ONE:
         for w, c in right.items():
-            _accumulate(terms, pre + w + post, MINUS_ONE if c is ONE else
-                        ONE if c is MINUS_ONE else -c)
+            _accumulate(terms, pre + w + post, -c)
     else:
         for w, c in right.items():
             _accumulate(terms, pre + w + post, s if c is ONE else
@@ -203,7 +198,13 @@ class NCPoly:
         "zero" for the zero polynomial."""
         if not self.terms:
             return "zero"
-        degs = {word_degree(w) for w in self.terms}
+        degs = set()
+        for w in self.terms:
+            d = 0
+            for g in w:
+                if g >= _B:
+                    d += 1 if g < _D else 2
+            degs.add(d)
         if len(degs) == 1:
             return degs.pop()
         return "inhomogeneous"

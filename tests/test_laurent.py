@@ -103,6 +103,27 @@ _units = st.builds(LaurentPoly.unit, st.sampled_from([1, -1]),
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
+@given(_units, _units)
+def test_units_are_shared_with_their_negations_and_products(u, v):
+    (c, i, j), (c2, i2, j2) = u.as_unit(), v.as_unit()
+    assert LaurentPoly.unit(c, i, j) is u
+    assert u.neg.neg is u and -u is u.neg and -u.neg is u
+    assert u.neg is LaurentPoly.unit(-c, i, j)
+    assert L(i) is LaurentPoly.unit(1, i, 0)
+    assert M(j) is LaurentPoly.unit(1, 0, j)
+    assert u.neg == LaurentPoly({(i, j): -c})
+    assert u * v is LaurentPoly.unit(c * c2, i + i2, j + j2)
+    assert (u * v).neg is not None
+    # an unshared copy takes the generic paths to the same values
+    uu = LaurentPoly(dict(u.terms))
+    assert uu.neg is None and (-uu).neg is None and (uu * v).neg is None
+    assert -uu == u.neg and uu * v == u * v and u + u.neg == 0
+    assert (u + u).neg is None and (2 * u).neg is None
+    # a sum that comes to a unit is the shared one
+    assert (u + 2) - 2 is u and (uu + uu) + u.neg is u
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
 @given(_units, st.booleans())
 def test_inverse_unit_keeps_the_shared_constants(u, shared):
     c, i, j = u.as_unit()

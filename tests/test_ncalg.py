@@ -13,7 +13,8 @@ from kch.dga import build_dga, build_matrices, relation_products
 from kch.diagram import apply_move, available_moves, crossing_data
 from kch.knots import bundled_knot, bundled_table
 from kch.laurent import MINUS_ONE, ONE, LaurentPoly
-from kch.ncalg import Derivation, Generator, NCPoly, nc_unit_normalize
+from kch.ncalg import (Derivation, Generator, NCPoly, _accumulate,
+                       nc_unit_normalize)
 
 A12 = Generator("a", 1, 2)
 A21 = Generator("a", 2, 1)
@@ -130,6 +131,34 @@ def test_homogeneous_degree():
     assert mixed.homogeneous_degree() == "inhomogeneous"
 
 
+def _degree_by_letters(p):
+    """homogeneous_degree from each letter's own degree."""
+    degs = {sum(g.degree for g in w) for w in p.terms}
+    if not degs:
+        return "zero"
+    return degs.pop() if len(degs) == 1 else "inhomogeneous"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_homogeneous_degree_matches_letter_degrees(seed):
+    rng = random.Random(seed)
+    # indices at both ends of each kind's range, where it meets the next
+    letters = [Generator(kind, i, j) for kind in "abcde"
+               for i, j in ((0, 0), (1, 2), (14_653, 14_653))]
+    words = [tuple(rng.choice(letters) for _ in range(rng.randrange(6)))
+             for _ in range(8)]
+    polys = [NCPoly(), NCPoly({(): ONE})]
+    polys += [NCPoly({w: ONE for w in rng.sample(words, k)})
+              for k in (1, 1, 2, 3, 8)]
+    # words of degree 3 from different mixes of kinds
+    polys.append(NCPoly({(letters[3], letters[11]): ONE,
+                         (letters[12], letters[0], letters[8]): ONE,
+                         (letters[5], letters[7], letters[4]): ONE}))
+    assert polys[-1].homogeneous_degree() == 3
+    for p in polys:
+        assert p.homogeneous_degree() == _degree_by_letters(p), p
+
+
 def test_str_ordering():
     p = NCPoly.gen(A12) * NCPoly.gen(A21) - NCPoly.gen(A12) \
         + NCPoly.scalar(LaurentPoly.mu())
@@ -242,11 +271,15 @@ def test_differential_of_images_matches_products(name):
     assert _items(d.apply(word)) == _items(_leibniz_by_products(d, word))
 
 
-# coefficients for the +-1 shortcuts of ncalg: the shared constants, unshared
-# copies of them, unit monomials and two-term polynomials
+# coefficients for the shared-unit shortcuts of ncalg: the shared constants,
+# shared units l^a*m^b with their negations (so that they cancel), unshared
+# copies of units, a non-unit monomial and two-term polynomials
 _MIXED_COEFFS = [ONE, MINUS_ONE, LaurentPoly({(0, 0): 1}),
                  LaurentPoly({(0, 0): -1}), LaurentPoly.mu(),
-                 -LaurentPoly.lam(), LaurentPoly.unit(1, 2, -1),
+                 -LaurentPoly.mu(), -LaurentPoly.lam(), LaurentPoly.lam(),
+                 LaurentPoly.unit(1, 2, -1), LaurentPoly.unit(-1, 2, -1),
+                 LaurentPoly.lam(-1) * LaurentPoly.mu(),
+                 LaurentPoly({(-1, 1): -1}), LaurentPoly.unit(3, 0, 1),
                  LaurentPoly.lam() + 2, 1 - LaurentPoly.mu()]
 _LETTERS = [A12, A21, B11, C11, D11]
 
@@ -300,6 +333,26 @@ def test_unit_shortcuts_match_generic_arithmetic(seed):
             == _exact(_leibniz_by_products(ud, _unshared(x)))
     assert _snapshot(p, q, *d.images.values()) == before
     assert ONE.terms == {(0, 0): 1} and MINUS_ONE.terms == {(0, 0): -1}
+
+
+def test_shared_unit_meets_its_negation_without_a_laurent_sum(monkeypatch):
+    sums = []
+    add = LaurentPoly.__add__
+
+    def counting(self, other):
+        sums.append((self, other))
+        return add(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__add__", counting)
+    u = LaurentPoly.unit(-1, 2, -1)
+    for s, c in ((u, u.neg), (u.neg, u), (ONE, MINUS_ONE)):
+        terms = {(A12,): s, (B11,): ONE}
+        _accumulate(terms, (A12,), c)
+        assert terms == {(B11,): ONE} and not sums
+    # an unshared negation is cancelled by the Laurent sum, to the same terms
+    terms = {(A12,): u, (B11,): ONE}
+    _accumulate(terms, (A12,), LaurentPoly(dict(u.neg.terms)))
+    assert terms == {(B11,): ONE} and len(sums) == 1
 
 
 _mixed_polys = st.dictionaries(
