@@ -89,13 +89,17 @@ def build_parser():
     p = sub.add_parser("compare", help="compare augmentation signatures")
     p.add_argument("--pd-a", required=True)
     p.add_argument("--pd-b", required=True)
-    p.add_argument("--primes", type=_parse_primes, default=[2, 3, 5, 7])
+    p.add_argument("--primes", type=_parse_primes, default=(2, 3, 5, 7))
 
     p = sub.add_parser("table", help="batch run over a knot-table file")
     p.add_argument("file", nargs="?", default=None,
                    help="knot table path (default: bundled table)")
-    p.add_argument("--primes", type=_parse_primes, default=[2, 3, 5, 7])
+    p.add_argument("--primes", type=_parse_primes, default=(2, 3, 5, 7))
     return ap
+
+
+# built once: parse_args leaves it as it was, and its defaults are immutable
+_PARSER = build_parser()
 
 
 # -- report builders --------------------------------------------------
@@ -270,8 +274,9 @@ def _emit_text(obj, indent=0, out=None):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one kch command on argv and return its exit status; usage
+    errors and --help raise SystemExit.  Calls may share a process."""
+    args = _PARSER.parse_args(argv)
     try:
         report = {"schema": SCHEMA, **_COMMANDS[args.command](args)}
     except DiagramError as exc:

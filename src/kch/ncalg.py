@@ -79,18 +79,20 @@ def _word_key(word):
 
 
 def _accumulate(terms, word, c):
+    """Add c * word to terms.  c must be nonzero: every caller passes a
+    coefficient of a term dict, its negation or a product of two, and
+    Z[l^±1,m^±1] has no zero divisors."""
     s = terms.get(word)
     if s is None:
-        s = c
+        terms[word] = c
     elif c is s.neg:
         del terms[word]
-        return
     else:
         s = s + c
-    if s:
-        terms[word] = s
-    elif word in terms:
-        del terms[word]
+        if s:
+            terms[word] = s
+        else:
+            del terms[word]
 
 
 def _splice_into(terms, s, right, pre=(), post=()):

@@ -453,6 +453,74 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["compare", "--pd-a", UNKNOT, "--pd-b", UNKNOT],
+    ["table"],
+])
+def test_primes_default_is_an_immutable_tuple(command):
+    # every main call shares one parser, and so its default object
+    first, second = (kch.cli._PARSER.parse_args(command) for _ in range(2))
+    assert first.primes == second.primes == (2, 3, 5, 7)
+    assert type(first.primes) is tuple
+    assert build_parser().parse_args(command).primes == first.primes
+
+
+# each subcommand, text output, a default after an explicit --primes and
+# again later, help, usage errors (SystemExit 2), a DiagramError (2) and an
+# IntractableError (1)
+SHARED_PARSER_CALLS = [
+    ["parse", "--pd", TREFOIL_LH],
+    ["dga", "--check", "--pd", TREFOIL_LH],
+    ["hc0", "--no-simplify", "--pd", TREFOIL_LH],
+    ["aug", "--prime", "3", "--lambda", "2", "--pd", UNKNOT],
+    ["augpoly", "--pd", UNKNOT],
+    ["apoly-check", "--apoly", "1 + l*m^6", "--pd", TREFOIL_RH],
+    ["--output", "text", "compare", "--pd-a", TREFOIL_LH, "--pd-b",
+     TREFOIL_RH, "--primes", "5,2"],
+    ["compare", "--pd-a", TREFOIL_LH, "--pd-b", TREFOIL_RH],
+    ["table", "--primes", "3"],
+    ["--output", "text", "table"],
+    ["compare", "--help"],
+    ["not-a-command"],
+    ["aug", "--pd", UNKNOT],
+    ["parse", "--pd", "PD[X[1,2,3]]"],
+    ["table", "--primes", "131"],
+    ["aug", "--prime", "3", "--pd", UNKNOT],
+    ["parse", "--pd", TREFOIL_LH],
+    ["compare", "--pd-a", TREFOIL_LH, "--pd-b", TREFOIL_RH],
+]
+
+
+def _exit_and_output(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_calls_through_the_shared_parser_match_a_fresh_parser(capsys,
+                                                              monkeypatch):
+    shared = [_exit_and_output(capsys, argv) for argv in SHARED_PARSER_CALLS]
+    codes = [code for code, _, _ in shared]
+    assert codes.count(("SystemExit", 2)) == 2 and 1 in codes
+    assert codes.count(2) == 1 and ("SystemExit", 0) in codes
+    for argv, got in zip(SHARED_PARSER_CALLS, shared):
+        monkeypatch.setattr(kch.cli, "_PARSER", build_parser())
+        assert got == _exit_and_output(capsys, argv), argv
+
+
+def test_main_never_builds_a_parser(capsys, monkeypatch):
+    def no_build():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(kch.cli, "build_parser", no_build)
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "parse", "--pd", UNKNOT)
+        assert code == 0 and json.loads(out)["n"] == 1
+
+
 @pytest.mark.parametrize("argv, bad", [
     (["aug", "--prime", "4", "--pd", UNKNOT], 4),
     (["compare", "--pd-a", UNKNOT, "--pd-b", UNKNOT, "--primes", "1,2"], 1),

@@ -304,7 +304,9 @@ def _unshared(x):
 
 
 def _exact(p):
-    """Words, coefficients and both key orders of an NCPoly."""
+    """Words, coefficients and both key orders of an NCPoly, which must
+    store no zero coefficient."""
+    assert all(p.terms.values())
     return [(w, list(c.terms.items())) for w, c in p.terms.items()]
 
 
