@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hc0 import IntractableError
+from .dga import IntractableError
 
 MAX_PACKED_PRIME = 127  # 2 * (p - 1) <= 255: two residues fit in a byte
 # Counting gives up past this many byte operations, charged (p-1)^2 per

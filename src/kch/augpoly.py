@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .hc0 import IntractableError
+from .dga import IntractableError
 from .laurent import (LaurentPoly, UniPoly, divides, pairwise_resultants,
                       render, unit_normalize)
 

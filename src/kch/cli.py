@@ -163,8 +163,9 @@ def cmd_aug(args):
             raise DiagramError("%s %d is not a unit mod %d (use 1..%d)"
                                % (flag, value, args.prime, args.prime - 1))
     # counts are knot invariants: kinks and clasps come off first
-    table = count_augmentations(Run(reduced(parse_pd(args.pd))).simplified,
-                                args.prime)
+    pd = reduced(parse_pd(args.pd))
+    _check_prime(args.prime)
+    table = count_augmentations(Run(pd).simplified, args.prime)
     entries = [{"lambda": l0, "mu": m0, "count": c}
                for (l0, m0), c in table.counts
                if args.lam0 in (None, l0) and args.mu0 in (None, m0)]

@@ -5,8 +5,8 @@ by the entries of PsiL.A and A.PsiR.  Simplification repeatedly eliminates
 a generator that occurs linearly with a unit coefficient and nowhere else
 in the same relation; this never changes the quotient algebra.  It keeps
 its offers in a heap, finds each relation's offer and letters in one pass,
-and dedupes unit multiples within buckets of relations with equal word
-sets, so most relations are never unit-normalized.
+and compares the nc_unit_normalize forms of relations only when they
+share a word set, so most relations are never unit-normalized.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from heapq import heappop, heappush
 from itertools import chain
 
 from .dga import IntractableError, build_matrices, relation_products
-from .ncalg import NCPoly, _word_key
+from .ncalg import NCPoly, nc_unit_normalize
 
 
 @dataclass
@@ -84,49 +84,32 @@ def _offer(rel, alive):
     return None, letters
 
 
-def _unit_key(rel):
-    """Hashable form of nc_unit_normalize(rel): a frozenset of (word,
-    frozenset of ((i, j), c)) pairs.  Two keys are equal exactly when the
-    two normal forms are, and a frozenset keeps its hash once computed."""
-    terms = rel.terms
-    i0 = min(i for coeff in terms.values() for i, _ in coeff.terms)
-    j0 = min(j for coeff in terms.values() for _, j in coeff.terms)
-    lead = terms[min(terms, key=_word_key)].terms
-    s = -1 if lead[min(lead)] < 0 else 1
-    return frozenset(
-        (w, frozenset(((i - i0, j - j0), s * c)
-                      for (i, j), c in coeff.terms.items()))
-        for w, coeff in terms.items())
-
-
 def _settle(cache, holder, heap, rels, alive):
     """Cache (relation, word set, offer, letters) for each (position,
     relation) of rels in ascending position, push (cost, position) of its
-    offer onto heap, and keep one relation per _unit_key, the one at the
-    smallest position.  A unit keeps the words, so holder maps each word
-    set to {_unit_key: position}, with None for the key of a lone
-    relation until a second one comes.  No position of rels may be cached
-    yet.  Zero relations are dropped.  Returns the number of terms in the
-    relations dropped as duplicates."""
+    offer onto heap, and keep one relation per nc_unit_normalize form, the
+    one at the smallest position.  A unit keeps the words, so holder maps
+    each word set to the positions that hold it, and a relation is
+    normalized only when it meets a peer there.  No position of rels may
+    be cached yet.  Zero relations are dropped.  Returns the number of
+    terms in the relations dropped as duplicates."""
     dropped = 0
     for p, rel in rels:
         if not rel:
             continue
         words = frozenset(rel.terms)
-        bucket = holder.setdefault(words, {})
-        key = None
-        if bucket:
-            if None in bucket:
-                q = bucket.pop(None)
-                bucket[_unit_key(cache[q][0])] = q
-            key = _unit_key(rel)
-            q = bucket.get(key)
+        peers = holder.setdefault(words, [])
+        if peers:
+            form = nc_unit_normalize(rel)
+            q = next((q for q in peers
+                      if nc_unit_normalize(cache[q][0]) == form), None)
             if q is not None:
                 if q < p:
                     dropped += len(rel.terms)
                     continue
                 dropped += len(cache.pop(q)[0].terms)
-        bucket[key] = p
+                peers.remove(q)
+        peers.append(p)
         offer, letters = _offer(rel, alive)
         cache[p] = (rel, words, offer, letters)
         if offer:
@@ -137,9 +120,9 @@ def _settle(cache, holder, heap, rels, alive):
 def _release(cache, holder, p):
     """Uncache the relation at position p and return it."""
     rel, words, _, _ = cache.pop(p)
-    bucket = holder[words]
-    del bucket[next(k for k, q in bucket.items() if q == p)]
-    if not bucket:
+    peers = holder[words]
+    peers.remove(p)
+    if not peers:
         del holder[words]
     return rel
 
@@ -165,15 +148,16 @@ def simplify(pres):
 
     The loop runs on the relations' own Generator letters.  _settle
     caches each relation's offer and letter counts, found in one pass over
-    its words, and computes a _unit_key only where two relations share a
-    word set.  A heap holds (cost, position) of every offer; an entry whose
-    relation has since been dropped or changed its offer is skipped.
+    its words, and compares nc_unit_normalize forms only where two
+    relations share a word set.  A heap holds (cost, position) of every
+    offer; an entry whose relation has since been dropped or changed its
+    offer is skipped.
     After a step only the relations that contained g are settled again:
     no other offer changes.  Raises IntractableError once the relations
     hold more than MAX_RELATION_TERMS terms."""
     alive = set(pres.generators)
     cache = {}   # position -> (relation, word set, offer, letter counts)
-    holder = {}  # word set -> {_unit_key or None: position}
+    holder = {}  # word set -> positions of the relations with it
     heap = []    # (cost, position) of every offer made, some since stale
     size = sum(len(r.terms) for r in pres.relations)  # terms held
     size -= _settle(cache, holder, heap, list(enumerate(pres.relations)),

@@ -304,8 +304,8 @@ def test_09_oracle_suites():
 def test_10_determinism():
     t0 = time.time()
 
-    # simplify dedupes relations through frozenset keys, so the report
-    # must not depend on the string-hash seed
+    # simplify buckets relations by their frozenset word sets, so the
+    # report must not depend on the string-hash seed
     def run(hash_seed):
         env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
         return subprocess.run([sys.executable, "-m", "kch.cli", "table"],

@@ -215,6 +215,22 @@ def test_aug_prime_past_packed_search_exit_1(capsys):
     assert err.startswith("kch: count: prime 131 exceeds the bound 127")
 
 
+def test_aug_checks_its_prime_before_any_stage(capsys, monkeypatch):
+    def no_stage(pd):
+        raise AssertionError("crossing_data ran before the prime check")
+
+    monkeypatch.setattr(kch.pipeline, "crossing_data", no_stage)
+    code, out, err = run_cli(capsys, "aug", "--prime", "131",
+                             "--pd", TREFOIL_LH)
+    assert code == 1 and out == ""
+    assert err == ("kch: count: prime 131 exceeds the bound 127 of the "
+                   "packed point search\n")
+    # a malformed PD code still exits 2 first
+    code, _, err = run_cli(capsys, "aug", "--prime", "131",
+                           "--pd", "PD[X[1,2,2,1],X[3,4,4,3]]")
+    assert code == 2 and not err.startswith("kch: count")
+
+
 def test_augpoly(capsys):
     code, out, _ = run_cli(capsys, "augpoly", "--pd", UNKNOT)
     rep = json.loads(out)

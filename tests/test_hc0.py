@@ -4,14 +4,12 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import kch.augment
 import kch.hc0
 from kch.dga import build_dga
 from kch.diagram import apply_move, available_moves, crossing_data
-from kch.hc0 import (IntractableError, Presentation, _settle, _unit_key,
+from kch.hc0 import (IntractableError, Presentation, _release, _settle,
                      extract_presentation, relation_presentation, replay_log,
                      simplify)
 from kch.knots import bundled_knot, bundled_table
@@ -220,19 +218,19 @@ def test_simplify_matches_reference_on_r2_inflations(name, n, seed):
 
 def test_simplify_keys_only_relations_that_share_a_word_set(monkeypatch):
     # a unit multiple has its relation's word set, so _settle needs a
-    # _unit_key only where two relations share one: far fewer than settled
+    # normal form only where two relations share one: far fewer than settled
     keys, settled = [], []
-    unit_key, settle = kch.hc0._unit_key, kch.hc0._settle
+    normalize, settle = kch.hc0.nc_unit_normalize, kch.hc0._settle
 
-    def counting_key(rel):
+    def counting_normalize(rel):
         keys.append(rel)
-        return unit_key(rel)
+        return normalize(rel)
 
     def counting_settle(cache, holder, heap, rels, alive):
         settled.extend(rel for _, rel in rels if rel)
         return settle(cache, holder, heap, rels, alive)
 
-    monkeypatch.setattr(kch.hc0, "_unit_key", counting_key)
+    monkeypatch.setattr(kch.hc0, "nc_unit_normalize", counting_normalize)
     monkeypatch.setattr(kch.hc0, "_settle", counting_settle)
     simplify(extract_presentation(crossing_data(_inflated("figure8", 10, 1))))
     assert len(settled) > 1000
@@ -245,6 +243,7 @@ def test_simplify_keys_only_relations_that_share_a_word_set(monkeypatch):
 _X = NCPoly({(0,): LaurentPoly.const(1), (1, 2): L()})
 _Y = NCPoly({(0,): LaurentPoly.const(1), (1, 2): M()})
 _X_UNIT = _X * LaurentPoly.unit(-1, 2, -1)
+_Y_UNIT = _Y * LaurentPoly.unit(1, -1, 3)
 
 
 def _settled(*batches):
@@ -260,16 +259,19 @@ def test_settle_keeps_relations_that_share_words_but_not_a_unit():
     cache, holder, heap, dropped = _settled([(0, _X), (1, _Y)])
     assert dropped == [0]
     assert [(p, entry[0]) for p, entry in cache.items()] == [(0, _X), (1, _Y)]
-    assert holder == {frozenset(_X.terms): {_unit_key(_X): 0,
-                                            _unit_key(_Y): 1}}
+    assert holder == {frozenset(_X.terms): [0, 1]}
     assert sorted(heap) == [((2, 1), 0), ((2, 1), 1)]
 
 
-def test_settle_keys_a_lone_word_set_lazily():
+def test_settle_keys_a_lone_word_set_lazily(monkeypatch):
+    forms = []
+    normalize = kch.hc0.nc_unit_normalize
+    monkeypatch.setattr(kch.hc0, "nc_unit_normalize",
+                        lambda rel: forms.append(rel) or normalize(rel))
     cache, holder, heap, dropped = _settled([(0, _X)], [(1, NCPoly.gen(0))])
     assert dropped == [0, 0]
-    assert holder == {frozenset(_X.terms): {None: 0},
-                      frozenset({(0,)}): {None: 1}}
+    assert forms == []
+    assert holder == {frozenset(_X.terms): [0], frozenset({(0,)}): [1]}
     rel, words, offer, letters = cache[0]
     assert (rel, words) == (_X, frozenset(_X.terms))
     assert offer == ((2, 1), 0, LaurentPoly.const(1))
@@ -281,7 +283,7 @@ def test_settle_drops_a_unit_multiple_at_a_larger_position():
     cache, holder, heap, dropped = _settled([(0, _X), (1, _X_UNIT)])
     assert dropped == [2]
     assert list(cache) == [0] and cache[0][0] is _X
-    assert holder == {frozenset(_X.terms): {_unit_key(_X): 0}}
+    assert holder == {frozenset(_X.terms): [0]}
 
 
 def test_settle_evicts_a_unit_multiple_at_a_larger_position():
@@ -289,8 +291,16 @@ def test_settle_evicts_a_unit_multiple_at_a_larger_position():
                                             [(2, _X_UNIT)])
     assert dropped == [0, 2]
     assert sorted(cache) == [2, 7] and cache[2][0] is _X_UNIT
-    assert holder == {frozenset(_X.terms): {_unit_key(_X): 2,
-                                            _unit_key(_Y): 7}}
+    assert holder == {frozenset(_X.terms): [7, 2]}
+
+
+def test_settle_evicts_the_second_peer_of_a_word_set():
+    # the bucket holds two unit classes; the match is its second position
+    cache, holder, heap, dropped = _settled([(5, _X), (7, _Y)],
+                                            [(6, _Y_UNIT)])
+    assert dropped == [0, 2]
+    assert sorted(cache) == [5, 6] and cache[6][0] is _Y_UNIT
+    assert holder == {frozenset(_X.terms): [5, 6]}
 
 
 def test_settle_drops_zero_relations():
@@ -298,7 +308,16 @@ def test_settle_drops_zero_relations():
                                             [(2, _X - _X)])
     assert dropped == [0, 0]
     assert list(cache) == [1]
-    assert holder == {frozenset(_X.terms): {None: 1}}
+    assert holder == {frozenset(_X.terms): [1]}
+
+
+def test_release_leaves_no_empty_word_set():
+    lone = NCPoly.gen(0)
+    cache, holder, heap, dropped = _settled([(0, _X), (1, _Y), (2, lone)])
+    assert _release(cache, holder, 0) is _X
+    assert holder == {frozenset(_X.terms): [1], frozenset(lone.terms): [2]}
+    assert _release(cache, holder, 2) is lone
+    assert holder == {frozenset(_X.terms): [1]} and sorted(cache) == [1]
 
 
 def test_simplify_never_eliminates_unlisted_generators():
@@ -319,49 +338,6 @@ def test_simplify_never_eliminates_unlisted_generators():
     assert all(a21 in r.generators() for r in out.relations)
     assert len(out.relations) == 2
     _assert_same_as_reference(pres)
-
-
-# relations over plain int letters, with small Laurent coefficients
-_coeffs = st.dictionaries(
-    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-    st.integers(-3, 3).filter(bool), min_size=1, max_size=3).map(LaurentPoly)
-_relations = st.dictionaries(
-    st.lists(st.integers(0, 3), max_size=3).map(tuple), _coeffs,
-    min_size=1, max_size=4).map(NCPoly)
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(r1=_relations, other=_relations,
-       kind=st.sampled_from(["unit", "double", "perturbed", "one_term",
-                             "other"]),
-       sign=st.sampled_from([1, -1]), a=st.integers(-3, 3),
-       b=st.integers(-3, 3))
-def test_unit_key_agrees_with_nc_unit_normalize(r1, other, kind, sign, a, b):
-    unit = LaurentPoly.unit(sign, a, b)
-    if kind == "unit":
-        r2 = r1 * unit
-    elif kind == "double":
-        r2 = r1 * (2 * unit)
-    elif kind == "perturbed":
-        # the same words, one coefficient moved by a unit (it may cancel)
-        w = min(r1.terms)
-        r2 = NCPoly({**r1.terms, w: r1.terms[w] + unit}) * unit
-    elif kind == "one_term":
-        # the same words, only one coefficient scaled by the unit
-        w = min(r1.terms)
-        r2 = NCPoly({**r1.terms, w: r1.terms[w] * unit})
-    else:
-        r2 = other
-    if not r2:
-        return
-    same = nc_unit_normalize(r1) == nc_unit_normalize(r2)
-    assert (_unit_key(r1) == _unit_key(r2)) == same
-    if kind == "unit":
-        assert same
-    if kind == "double":
-        assert not same
-    if same:
-        assert hash(_unit_key(r1)) == hash(_unit_key(r2))
 
 
 def _dump(pres):

@@ -177,6 +177,27 @@ def test_nc_unit_normalize():
         nc_unit_normalize(NCPoly.zero())
 
 
+# polynomials over plain int letters, with small Laurent coefficients
+_small_coeffs = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.integers(-3, 3).filter(bool), min_size=1, max_size=3).map(LaurentPoly)
+_small_polys = st.dictionaries(
+    st.lists(st.integers(0, 3), max_size=3).map(tuple), _small_coeffs,
+    min_size=1, max_size=4).map(NCPoly)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(p=_small_polys, sign=st.sampled_from([1, -1]), a=st.integers(-3, 3),
+       b=st.integers(-3, 3))
+def test_nc_unit_normalize_identifies_unit_multiples(p, sign, a, b):
+    # simplify drops a relation whose form equals an earlier one's
+    unit = LaurentPoly.unit(sign, a, b)
+    form = nc_unit_normalize(p)
+    assert nc_unit_normalize(form) == form
+    assert nc_unit_normalize(p * unit) == form
+    assert nc_unit_normalize(p * (2 * unit)) != form
+
+
 def test_derivation_leibniz_sign():
     # d(b) = a12, d(a12) = 0: then d(b*b) = a12*b - b*a12
     d = Derivation({B11: NCPoly.gen(A12), A12: NCPoly.zero()})
