@@ -38,9 +38,7 @@ def _parse_prime(text):
 
 
 def _parse_primes(text):
-    primes = [_parse_prime(x) for x in text.split(",") if x.strip()]
-    if not primes:
-        raise argparse.ArgumentTypeError("empty prime list")
+    primes = [_parse_prime(x) for x in text.split(",")]
     for k, p in enumerate(primes):
         if p in primes[:k]:
             raise argparse.ArgumentTypeError("prime %d is repeated" % p)
@@ -193,17 +191,19 @@ def cmd_apoly_check(args):
 
 
 def cmd_compare(args):
-    # counts are knot invariants: kinks and clasps come off first
+    """Where the two diagrams' counts first differ, prime by prime in the
+    order given.  Counts are knot invariants, so kinks and clasps come off
+    first, and two diagrams that reduce to one code need no count."""
     pd_a, pd_b = map(reduced, (parse_pd(args.pd_a), parse_pd(args.pd_b)))
-    for p in args.primes:
+    for p in args.primes:  # a prime past the bound exits 1 on any pair
         _check_prime(p)
-    # equal diagrams share one run, whose table never differs from itself
-    runs = [Run(pd_a)] if pd_a == pd_b else [Run(pd_a), Run(pd_b)]
     diff = None
-    for p in args.primes:  # nothing past the first prime that differs
-        tables = [count_augmentations(run.simplified, p) for run in runs]
-        if diff := first_difference(tables[0], tables[-1]):
-            break
+    if pd_a != pd_b:
+        runs = Run(pd_a), Run(pd_b)
+        for p in args.primes:  # nothing past the first prime that differs
+            tables = [count_augmentations(run.simplified, p) for run in runs]
+            if diff := first_difference(*tables):
+                break
     return {"distinguished": diff is not None, "first_difference": diff}
 
 

@@ -14,6 +14,8 @@ import sys
 
 import pytest
 from helpers import kink_chain
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kch.augment
 import kch.cli
@@ -318,20 +320,38 @@ def test_compare_matches_full_signatures(capsys):
         assert rep["distinguished"] is False, name
 
 
+@pytest.fixture
+def crossing_data_calls(monkeypatch):
+    """The diagrams given to crossing_data, the first stage of every run."""
+    seen = []
+
+    def recording(pd):
+        seen.append(pd)
+        return crossing_data(pd)
+
+    crossing_data = kch.pipeline.crossing_data
+    monkeypatch.setattr(kch.pipeline, "crossing_data", recording)
+    return seen
+
+
 def test_compare_checks_its_primes_before_counting(capsys):
-    # the tables differ at p = 2, so only the check up front reaches 131
-    code, out, err = run_cli(capsys, "compare", "--pd-a", TREFOIL_RH,
-                             "--pd-b", FIGURE8, "--primes", "2,131")
-    assert code == 1 and out == ""
-    assert err == ("kch: count: prime 131 exceeds the bound 127 of the "
-                   "packed point search\n")
+    # the first pair's tables differ at p = 2, and the second pair reduces
+    # to one code, answered without counting: only the check up front
+    # reaches 131
+    for code_a, code_b in ((TREFOIL_RH, FIGURE8),
+                           (TREFOIL_LH, R2_TREFOIL_LH)):
+        code, out, err = run_cli(capsys, "compare", "--pd-a", code_a,
+                                 "--pd-b", code_b, "--primes", "2,131")
+        assert code == 1 and out == ""
+        assert err == ("kch: count: prime 131 exceeds the bound 127 of the "
+                       "packed point search\n")
 
 
 @pytest.mark.parametrize("code_a, code_b, counted", [
     # the trefoils' tables first differ at p = 5
     pytest.param(TREFOIL_LH, TREFOIL_RH, [2, 2, 3, 3, 5, 5], id="mirrors"),
-    # both reduce to one diagram, counted once per prime
-    pytest.param(R2_TREFOIL_LH, TREFOIL_LH, [2, 3, 5, 7, 11], id="r2-copy"),
+    # both reduce to one diagram, so nothing is counted
+    pytest.param(R2_TREFOIL_LH, TREFOIL_LH, [], id="r2-copy"),
 ])
 def test_compare_counts_only_what_it_reports(capsys, monkeypatch, code_a,
                                              code_b, counted):
@@ -357,11 +377,61 @@ def test_compare_stops_counting_at_the_first_difference(capsys,
                            "--pd-b", TREFOIL_RH, "--primes", "2,3,5,7")
     assert code == 0
     assert json.loads(out)["first_difference"]["p"] == 5
-    # equal tables are counted at every prime, so p = 7 passes the bound
+    # a pair of one reduced code is answered without counting, so p = 7
+    # never charges the bound
+    code, out, _ = run_cli(capsys, "compare", "--pd-a", TREFOIL_LH,
+                           "--pd-b", R2_TREFOIL_LH, "--primes", "2,3,5,7")
+    assert code == 0
+    assert json.loads(out) == {"schema": 1, "distinguished": False,
+                               "first_difference": None}
+
+
+def test_compare_of_one_reduced_code_is_exact_past_a_bound(
+        capsys, monkeypatch, crossing_data_calls):
+    seen = crossing_data_calls
+    monkeypatch.setattr(kch.dga, "MAX_DGA_CROSSINGS", 2)
+    code, out, _ = run_cli(capsys, "compare", "--pd-a", TREFOIL_LH,
+                           "--pd-b", R2_TREFOIL_LH)
+    assert code == 0 and seen == []
+    assert json.loads(out)["distinguished"] is False
+    # a pair that differs after reduction still runs into the bound
     code, out, err = run_cli(capsys, "compare", "--pd-a", TREFOIL_LH,
-                             "--pd-b", R2_TREFOIL_LH, "--primes", "2,3,5,7")
+                             "--pd-b", TREFOIL_RH)
     assert code == 1 and out == ""
-    assert err == "kch: count: search work exceeds the bound 300\n"
+    assert err == "kch: dga: 3 crossings exceed the bound 2\n"
+
+
+_WALK_MOVES = ("r1_add", "r2_add")
+
+
+def test_compare_is_invariant_along_reidemeister_walks(capsys,
+                                                       crossing_data_calls):
+    # a walk of 1-4 R1/R2 additions from a bundled knot is the same knot;
+    # reduced() undoes some walks (nothing is counted) and not others
+    seen = crossing_data_calls
+    branches = set()
+
+    @settings(derandomize=True, max_examples=20, deadline=None,
+              database=None)
+    @given(name=st.sampled_from([name for name, _ in bundled_table()]),
+           data=st.data())
+    def walk(name, data):
+        pd = walked = bundled_knot(name)
+        for _ in range(data.draw(st.integers(1, 4), label="length")):
+            moves = available_moves(walked)
+            kind = data.draw(st.sampled_from(_WALK_MOVES), label="kind")
+            walked = apply_move(walked, data.draw(st.sampled_from(
+                [m for m in moves if m["move"] == kind]), label="move"))
+        seen.clear()
+        code, out, _ = run_cli(capsys, "compare", "--pd-a", to_text(pd),
+                               "--pd-b", to_text(walked), "--primes", "2,3,5")
+        assert code == 0 and json.loads(out)["distinguished"] is False
+        one_code = reduced(pd) == reduced(walked)
+        assert (seen == []) == one_code
+        branches.add(one_code)
+
+    walk()
+    assert branches == {False, True}
 
 
 def test_table_with_file(capsys, tmp_path):
@@ -563,6 +633,22 @@ def test_repeated_prime_exit_2(capsys, argv, bad):
     assert captured.out == "" and "prime %d is repeated" % bad in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--pd-a", UNKNOT, "--pd-b", UNKNOT, "--primes", "2,,3"],
+    ["compare", "--pd-a", UNKNOT, "--pd-b", UNKNOT, "--primes", "2,3,"],
+    ["table", "--primes", "2,,3"],
+    ["table", "--primes", "2,3,"],
+    ["table", "--primes", ",2"],
+    ["table", "--primes", ""],
+])
+def test_empty_prime_item_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad prime ''" in captured.err
+
+
 def test_shared_unit_constants_survive_the_cli(capsys):
     # the ncalg shortcuts share ONE and MINUS_ONE among all the terms that
     # hold them; no command may write to them
@@ -602,9 +688,9 @@ _COUNTED = dict(_SIMPLIFIED, commutative=1)
                  1, _COUNTED, id="apoly-check"),
     pytest.param(["compare", "--pd-a", TREFOIL_LH, "--pd-b", TREFOIL_RH], 2,
                  _COUNTED, id="compare"),
-    # both sides reduce to one diagram, which runs once
+    # both sides reduce to one diagram, so no stage runs
     pytest.param(["compare", "--pd-a", TREFOIL_LH, "--pd-b", R2_TREFOIL_LH],
-                 1, _COUNTED, id="compare-r2-copy"),
+                 1, {}, id="compare-r2-copy"),
     # the presentation comes from the DGA's dB and dC, and one
     # abelianization serves every prime and the augmentation polynomial
     pytest.param(["table", "KNOTS", "--primes", "2,3"], 2,
@@ -651,27 +737,22 @@ def test_each_stage_runs_at_most_once_per_diagram(capsys, tmp_path,
     pytest.param(["augpoly", "--pd", R2_TREFOIL_LH], False, id="augpoly"),
     pytest.param(["apoly-check", "--apoly", "1 + l*m^6", "--pd",
                   R2_TREFOIL_LH], False, id="apoly-check"),
-    pytest.param(["compare", "--pd-a", R2_TREFOIL_LH, "--pd-b",
-                  R2_TREFOIL_LH], True, id="compare"),
+    # a pair that still differs after reduction, so both sides run
+    pytest.param(["compare", "--pd-a", R2_TREFOIL_LH, "--pd-b", TREFOIL_RH],
+                 True, id="compare"),
     pytest.param(["table", "KNOTS", "--primes", "2,3"], False, id="table"),
 ])
-def test_only_compare_and_aug_reduce_the_diagram(capsys, tmp_path,
-                                                 monkeypatch, argv, reduces):
-    seen = []
-
-    def recording(pd):
-        seen.append(pd)
-        return crossing_data(pd)
-
-    crossing_data = kch.pipeline.crossing_data
-    monkeypatch.setattr(kch.pipeline, "crossing_data", recording)
+def test_only_compare_and_aug_reduce_the_diagram(capsys, tmp_path, argv,
+                                                 reduces, crossing_data_calls):
+    seen = crossing_data_calls
     f = tmp_path / "knots.txt"
     f.write_text("tref: %s\n" % R2_TREFOIL_LH)
     code, _, _ = run_cli(capsys, *[str(f) if a == "KNOTS" else a
                                    for a in argv])
     assert code == 0
     expected = parse_pd(TREFOIL_LH if reduces else R2_TREFOIL_LH)
-    assert seen and all(pd == expected for pd in seen)
+    assert expected in seen
+    assert all(pd in (expected, parse_pd(TREFOIL_RH)) for pd in seen)
 
 
 def test_simplify_budget_exit_1(capsys, tmp_path, monkeypatch):
