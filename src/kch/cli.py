@@ -28,10 +28,9 @@ class ComputationError(RuntimeError):
 
 
 def _parse_prime(text):
-    try:
-        p = int(text)
-    except ValueError:
+    if not (text.isascii() and text.isdigit()):  # the PD grammar's rule
         raise argparse.ArgumentTypeError("bad prime %r" % text)
+    p = int(text)
     if not _is_prime(p):
         raise argparse.ArgumentTypeError("%d is not prime" % p)
     return p
@@ -43,6 +42,13 @@ def _parse_primes(text):
         if p in primes[:k]:
             raise argparse.ArgumentTypeError("prime %d is repeated" % p)
     return primes
+
+
+def _parse_int(text):
+    """Digits as for a prime, after an optional minus sign."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError("bad integer %r" % text)
+    return int(text)
 
 
 def build_parser():
@@ -71,8 +77,8 @@ def build_parser():
     p = sub.add_parser("aug", help="augmentation numbers over Z_p")
     add_pd(p)
     p.add_argument("--prime", type=_parse_prime, required=True)
-    p.add_argument("--lambda", dest="lam0", type=int, default=None)
-    p.add_argument("--mu", dest="mu0", type=int, default=None)
+    p.add_argument("--lambda", dest="lam0", type=_parse_int, default=None)
+    p.add_argument("--mu", dest="mu0", type=_parse_int, default=None)
 
     p = sub.add_parser("augpoly", help="augmentation polynomial")
     add_pd(p)
@@ -193,12 +199,12 @@ def cmd_apoly_check(args):
 def cmd_compare(args):
     """Where the two diagrams' counts first differ, prime by prime in the
     order given.  Counts are knot invariants, so kinks and clasps come off
-    first, and two diagrams that reduce to one code need no count."""
+    first, and diagrams that reduce to one crossing set need no count."""
     pd_a, pd_b = map(reduced, (parse_pd(args.pd_a), parse_pd(args.pd_b)))
     for p in args.primes:  # a prime past the bound exits 1 on any pair
         _check_prime(p)
     diff = None
-    if pd_a != pd_b:
+    if sorted(pd_a.crossings) != sorted(pd_b.crossings):
         runs = Run(pd_a), Run(pd_b)
         for p in args.primes:  # nothing past the first prime that differs
             tables = [count_augmentations(run.simplified, p) for run in runs]
@@ -226,7 +232,6 @@ def cmd_table(args):
             run = Run(parse_pd(code))
             rep.update(_diagram_stats(run))
             rep.update(_check_report(run.dga)[0])
-            # built after the DGA, so taken from its dB and dC
             rep["presentation"] = _presentation_report(run.simplified)
             sig = run.signature(args.primes)
             rep["signature"] = sig.as_json_obj()

@@ -1,5 +1,5 @@
-"""The framed knot DGA of a diagram: the four auxiliary matrices and A,
-the differential, and its self-checks.
+"""The framed knot DGA of a diagram: the four auxiliary matrices, A, the
+images dB and dC, the differential, built on first read, and its checks.
 
 The matrix entries follow the case tables keyed on (crossing, arc); when
 several case conditions hold at one entry (degenerate diagrams where a
@@ -18,6 +18,8 @@ nonzero entries of one such row or column.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .laurent import LaurentPoly
 from .ncalg import Derivation, Generator, NCPoly, _mul_into, _poly
@@ -116,25 +118,6 @@ def relation_products(mats):
               for col in mats["psi_r"]] for a_row in a])
 
 
-class FramedKnotDGA:
-    """Generators with degrees, the matrices, and the differential table.
-
-    ``matrices`` holds PsiL and PsiL2 as rows and PsiR and PsiR1 as
-    columns of nonzero entries, A as rows (as build_matrices gives them),
-    and the images dB = PsiL.A and dC = A.PsiR as rows, whose entries are
-    the relations of the degree-0 presentation."""
-
-    def __init__(self, cd, matrices, differential):
-        self.cd = cd
-        self.n = cd.n
-        self.matrices = matrices
-        self.differential = differential
-
-    @property
-    def generators(self):
-        return sorted(self.differential.images)
-
-
 def _d_image(b_row, right, left, c_col):
     """(B.R - L.C) at one entry: b_row[k]*R_k over the nonzero entries
     (k, NCPoly) of R's column, then -L_k*c_col[k] over those of L's row,
@@ -151,30 +134,49 @@ def _d_image(b_row, right, left, c_col):
     return _poly(t)
 
 
-def build_dga(cd):
-    """Assemble the framed knot DGA for the given crossing data."""
-    n = cd.n
-    mats = build_matrices(cd)
-    mats["dB"], mats["dC"] = db, dc = relation_products(mats)
-    # one-letter words of b_ij and c_ij, indexed from 0
-    b, c = ([[(Generator(kind, i, j),) for j in range(1, n + 1)]
-             for i in range(1, n + 1)] for kind in "bc")
-    c_cols = list(zip(*c))
-    l_rows, r_cols = mats["psi_l"], mats["psi_r"]
-    l2_rows, r1_cols = mats["psi_l2"], mats["psi_r1"]
+class FramedKnotDGA:
+    """The matrices, formed with the DGA, and the differential, built on
+    first read.  ``matrices`` holds PsiL and PsiL2 as rows and PsiR and
+    PsiR1 as columns of nonzero entries, A as rows (as build_matrices gives
+    them), and the images dB = PsiL.A and dC = A.PsiR as rows, whose
+    entries are the relations of the degree-0 presentation."""
 
-    zero = NCPoly.zero()
-    images = {Generator("a", i, j): zero for i in range(1, n + 1)
-              for j in range(1, n + 1) if i != j}
-    for i in range(n):
-        for j in range(n):
-            images[b[i][j][0]] = db[i][j]
-            images[c[i][j][0]] = dc[i][j]
-            images[Generator("d", i + 1, j + 1)] = _d_image(
-                b[i], r_cols[j], l_rows[i], c_cols[j])
-        images[Generator("e", i + 1)] = _d_image(
-            b[i], r1_cols[i], l2_rows[i], c_cols[i])
-    return FramedKnotDGA(cd, mats, Derivation(images))
+    def __init__(self, cd):
+        self.cd = cd
+        self.n = cd.n
+        self.matrices = mats = build_matrices(cd)
+        mats["dB"], mats["dC"] = relation_products(mats)
+
+    @cached_property
+    def differential(self):
+        n, mats = self.n, self.matrices
+        # one-letter words of b_ij and c_ij, indexed from 0
+        b, c = ([[(Generator(kind, i, j),) for j in range(1, n + 1)]
+                 for i in range(1, n + 1)] for kind in "bc")
+        c_cols = list(zip(*c))
+        l_rows, r_cols = mats["psi_l"], mats["psi_r"]
+        l2_rows, r1_cols = mats["psi_l2"], mats["psi_r1"]
+        zero = NCPoly.zero()
+        images = {Generator("a", i, j): zero for i in range(1, n + 1)
+                  for j in range(1, n + 1) if i != j}
+        for i in range(n):
+            for j in range(n):
+                images[b[i][j][0]] = mats["dB"][i][j]
+                images[c[i][j][0]] = mats["dC"][i][j]
+                images[Generator("d", i + 1, j + 1)] = _d_image(
+                    b[i], r_cols[j], l_rows[i], c_cols[j])
+            images[Generator("e", i + 1)] = _d_image(
+                b[i], r1_cols[i], l2_rows[i], c_cols[i])
+        return Derivation(images)
+
+    @property
+    def generators(self):
+        return sorted(self.differential.images)
+
+
+def build_dga(cd):
+    """The framed knot DGA for the given crossing data."""
+    return FramedKnotDGA(cd)
 
 
 def check_d_squared(dga):

@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from types import MappingProxyType
 
 
 class DiagramError(ValueError):
@@ -164,10 +163,6 @@ class PDCode:
 
     def darts(self):
         return [(ci, pos) for ci in range(self.n) for pos in range(4)]
-
-    def edge_darts(self):
-        """Read-only map edge label -> its two darts (crossing, position)."""
-        return MappingProxyType(self._darts)
 
     def faces(self):
         """Orbits of the face-tracing map, as tuples of darts; each face
@@ -406,7 +401,7 @@ def _clasp(pd, face_index):
     if x == y:
         raise MoveError("degenerate bigon along a single edge")
     # a clasp: one edge is under (0) at both crossings, the other over (1)
-    levels = [{pos % 2 for _, pos in pd.edge_darts()[z]} for z in (x, y)]
+    levels = [{pos % 2 for _, pos in pd._darts[z]} for z in (x, y)]
     if levels not in ([{0}, {1}], [{1}, {0}]):
         raise MoveError("bigon is not a removable clasp")
     return [c1, c2]
@@ -457,7 +452,7 @@ def _r3_rows(pd, face_index):
     labels = [pd.crossings[ci][pos] for ci, pos in face]
     if len(set(labels)) != 3 or len({ci for ci, _ in face}) != 3:
         raise MoveError("degenerate triangle")
-    ed = pd.edge_darts()
+    ed = pd._darts
     pairs = {}  # crossing -> {0: under (in, out), 1: over (in, out)}
     for x in labels:
         pred, succ = (x - 2) % pd.num_edges + 1, pd.succ(x)

@@ -65,7 +65,8 @@ def relation_presentation(rel_l, rel_r):
 
 
 def extract_presentation(cd):
-    """All a_ij with the 2n^2 entries of PsiL.A and A.PsiR as relations."""
+    """All a_ij with the 2n^2 entries of PsiL.A and A.PsiR as relations.
+    kch.pipeline.Run does not call this: it reads them off the DGA."""
     return relation_presentation(*relation_products(build_matrices(cd)))
 
 

@@ -207,15 +207,8 @@ class LaurentPoly:
 
     def substitute_mu_neg_musq(self):
         """Image under the ring map l -> l, m -> -m^2."""
-        t = {}
-        for (i, j), c in self.terms.items():
-            e = (i, 2 * j)
-            s = t.get(e, 0) + c * (-1) ** (j & 1)
-            if s:
-                t[e] = s
-            elif e in t:
-                del t[e]
-        return LaurentPoly(t)
+        return LaurentPoly({(i, 2 * j): -c if j & 1 else c
+                            for (i, j), c in self.terms.items()})
 
     def integer_content(self):
         from math import gcd

@@ -1,5 +1,6 @@
-"""One pipeline per diagram: crossing data, the framed knot DGA, the
-degree-0 presentation and its simplification, augmentation counts and the
+"""One pipeline per diagram: crossing data, the framed knot DGA (whose
+differential is built only when read), the degree-0 presentation read off
+its dB and dC, its simplification, augmentation counts and the
 augmentation polynomial, each computed at most once and only on demand.
 Stages are called through this module's globals, so a wrapper rebound
 here by name sees every call."""
@@ -12,7 +13,7 @@ from .augment import Signature, count_augmentations
 from .augpoly import augmentation_polynomial
 from .dga import build_dga
 from .diagram import crossing_data
-from .hc0 import extract_presentation, relation_presentation, simplify
+from .hc0 import relation_presentation, simplify
 
 
 class Run:
@@ -31,13 +32,9 @@ class Run:
 
     @cached_property
     def presentation(self):
-        """The entries of dB = PsiL.A and dC = A.PsiR, read off the DGA if
-        this run built it, else formed from the crossing data without the
-        d_ij and e_i images."""
-        if "dga" in self.__dict__:
-            return relation_presentation(self.dga.matrices["dB"],
-                                         self.dga.matrices["dC"])
-        return extract_presentation(self.cd)
+        """The entries of the DGA's dB = PsiL.A and dC = A.PsiR."""
+        return relation_presentation(self.dga.matrices["dB"],
+                                     self.dga.matrices["dC"])
 
     @cached_property
     def simplified(self):

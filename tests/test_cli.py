@@ -401,6 +401,19 @@ def test_compare_of_one_reduced_code_is_exact_past_a_bound(
     assert err == "kch: dga: 3 crossings exceed the bound 2\n"
 
 
+def test_compare_of_one_diagram_in_another_crossing_order(
+        capsys, monkeypatch, crossing_data_calls):
+    # the same three crossings listed in another order are one diagram, so
+    # nothing is counted and the DGA's bound is never reached
+    seen = crossing_data_calls
+    monkeypatch.setattr(kch.dga, "MAX_DGA_CROSSINGS", 2)
+    code, out, _ = run_cli(capsys, "compare", "--pd-a", TREFOIL_LH,
+                           "--pd-b", "PD[X[3,6,4,1],X[1,4,2,5],X[5,2,6,3]]")
+    assert code == 0 and seen == []
+    assert json.loads(out) == {"schema": 1, "distinguished": False,
+                               "first_difference": None}
+
+
 _WALK_MOVES = ("r1_add", "r2_add")
 
 
@@ -426,7 +439,8 @@ def test_compare_is_invariant_along_reidemeister_walks(capsys,
         code, out, _ = run_cli(capsys, "compare", "--pd-a", to_text(pd),
                                "--pd-b", to_text(walked), "--primes", "2,3,5")
         assert code == 0 and json.loads(out)["distinguished"] is False
-        one_code = reduced(pd) == reduced(walked)
+        one_code = (sorted(reduced(pd).crossings)
+                    == sorted(reduced(walked).crossings))
         assert (seen == []) == one_code
         branches.add(one_code)
 
@@ -649,6 +663,36 @@ def test_empty_prime_item_exit_2(capsys, argv):
     assert captured.out == "" and "bad prime ''" in captured.err
 
 
+# int() would read 1_3 as 13 and the Arabic-Indic digit three as 3
+_NOT_ASCII_DIGITS = ["1_3", "\u0663", "+7", " 7", "7 ", "0x7"]
+
+
+@pytest.mark.parametrize("text", _NOT_ASCII_DIGITS + ["-7"])
+@pytest.mark.parametrize("command", [
+    ["aug", "--pd", UNKNOT, "--prime"],
+    ["compare", "--pd-a", UNKNOT, "--pd-b", UNKNOT, "--primes"],
+    ["table", "--primes"],
+], ids=["aug", "compare", "table"])
+def test_prime_of_ascii_digits_only_exit_2(capsys, command, text):
+    with pytest.raises(SystemExit) as exc:
+        main(command + [text])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad prime %r" % text in captured.err
+
+
+@pytest.mark.parametrize("text", _NOT_ASCII_DIGITS + ["-\u0663"])
+@pytest.mark.parametrize("flag", ["--lambda", "--mu"])
+def test_point_of_ascii_digits_only_exit_2(capsys, flag, text):
+    # a minus sign is read, so that -1 exits 2 as a non-unit
+    with pytest.raises(SystemExit) as exc:
+        main(["aug", "--prime", "5", "--pd", UNKNOT, flag, text])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument %s: bad integer %r" % (flag, text) in captured.err
+
+
 def test_shared_unit_constants_survive_the_cli(capsys):
     # the ncalg shortcuts share ONE and MINUS_ONE among all the terms that
     # hold them; no command may write to them
@@ -665,17 +709,19 @@ def test_shared_unit_constants_survive_the_cli(capsys):
     assert ONE.terms == {(0, 0): 1} and MINUS_ONE.terms == {(0, 0): -1}
 
 
-# the stages a command may run on each of its diagrams, and how often
+# the stages a command may run on each of its diagrams, and how often;
+# only the d^2 and grading checks read the DGA's differential
 _PARSED = {"crossing_data": 1}
-_EXTRACTED = dict(_PARSED, extract_presentation=1)
+_EXTRACTED = dict(_PARSED, build_dga=1)
+_CHECKED = dict(_EXTRACTED, differential=1)
 _SIMPLIFIED = dict(_EXTRACTED, simplify=1)
 _COUNTED = dict(_SIMPLIFIED, commutative=1)
 
 
 @pytest.mark.parametrize("argv, diagrams, stages", [
     pytest.param(["parse", "--pd", TREFOIL_LH], 1, _PARSED, id="parse"),
-    pytest.param(["dga", "--check", "--pd", TREFOIL_LH], 1,
-                 dict(_PARSED, build_dga=1), id="dga"),
+    pytest.param(["dga", "--check", "--pd", TREFOIL_LH], 1, _CHECKED,
+                 id="dga"),
     # the generator counts depend on n alone, read off the parsed code
     pytest.param(["dga", "--pd", TREFOIL_LH], 1, {}, id="dga-no-check"),
     pytest.param(["hc0", "--pd", TREFOIL_LH], 1, _SIMPLIFIED, id="hc0"),
@@ -691,11 +737,10 @@ _COUNTED = dict(_SIMPLIFIED, commutative=1)
     # both sides reduce to one diagram, so no stage runs
     pytest.param(["compare", "--pd-a", TREFOIL_LH, "--pd-b", R2_TREFOIL_LH],
                  1, {}, id="compare-r2-copy"),
-    # the presentation comes from the DGA's dB and dC, and one
+    # one DGA serves the checks and the presentation, and one
     # abelianization serves every prime and the augmentation polynomial
     pytest.param(["table", "KNOTS", "--primes", "2,3"], 2,
-                 {"crossing_data": 1, "build_dga": 1, "simplify": 1,
-                  "commutative": 1}, id="table"),
+                 dict(_CHECKED, simplify=1, commutative=1), id="table"),
 ])
 def test_each_stage_runs_at_most_once_per_diagram(capsys, tmp_path,
                                                   monkeypatch, argv,
@@ -708,14 +753,15 @@ def test_each_stage_runs_at_most_once_per_diagram(capsys, tmp_path,
             return original(*args)
         return wrapper
 
-    for name in ("crossing_data", "build_dga", "extract_presentation",
-                 "simplify"):
+    for name in ("crossing_data", "build_dga", "simplify"):
         monkeypatch.setattr(kch.pipeline, name,
                             counted(name, getattr(kch.pipeline, name)))
-    commutative = functools.cached_property(counted(
-        "commutative", kch.hc0.Presentation.commutative.func))
-    commutative.__set_name__(kch.hc0.Presentation, "commutative")
-    monkeypatch.setattr(kch.hc0.Presentation, "commutative", commutative)
+    for cls, name in ((kch.hc0.Presentation, "commutative"),
+                      (kch.dga.FramedKnotDGA, "differential")):
+        prop = functools.cached_property(counted(name,
+                                                 getattr(cls, name).func))
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
     f = tmp_path / "knots.txt"
     f.write_text("unknot: %s\ntref: %s\n" % (UNKNOT, TREFOIL_LH))
     code, _, _ = run_cli(capsys, *[str(f) if a == "KNOTS" else a

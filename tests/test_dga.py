@@ -11,9 +11,11 @@ from kch.dga import (IntractableError, MAX_DGA_CROSSINGS, build_dga,
                      build_matrices, check_d_squared, check_grading,
                      generator_counts)
 from kch.diagram import apply_move, available_moves, crossing_data, parse_pd
+from kch.hc0 import extract_presentation
 from kch.knots import bundled_knot, bundled_table
 from kch.laurent import LaurentPoly
 from kch.ncalg import Generator, NCPoly
+from kch.pipeline import Run
 
 
 def _a(i, j, coeff=1):
@@ -180,6 +182,31 @@ def test_zero_image_skip_reads_live_images():
     d2 = check_d_squared(dga)
     assert not d2["pass"]
     assert users <= {f["generator"] for f in d2["failures"]}
+
+
+@pytest.mark.parametrize("name", [name for name, _ in bundled_table()])
+def test_presentation_is_read_off_the_dga_whatever_was_read_first(name):
+    # the relations are the DGA's dB and dC entries themselves, and so the
+    # b_ij and c_ij images, whether or not the differential was built
+    # first; reading them alone never builds it
+    plain, checked = Run(bundled_knot(name)), Run(bundled_knot(name))
+    images = checked.dga.differential.images
+    n = checked.dga.n
+    for run in (plain, checked):
+        mats = run.dga.matrices
+        entries = [e for m in (mats["dB"], mats["dC"]) for row in m
+                   for e in row]
+        assert all(rel is e for rel, e in zip(run.presentation.relations,
+                                              entries, strict=True))
+    letters = [Generator(kind, i, j) for kind in "bc"
+               for i in range(1, n + 1) for j in range(1, n + 1)]
+    assert all(rel is images[g] for rel, g in zip(
+        checked.presentation.relations, letters, strict=True))
+    assert "differential" not in vars(plain.dga)
+    pres = extract_presentation(plain.cd)
+    for run in (plain, checked):
+        assert run.presentation.relations == pres.relations
+        assert run.presentation.generators == pres.generators
 
 
 _WALK_MOVES = ("r1_add", "r1_remove", "r2_add", "r2_remove")

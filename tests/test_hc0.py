@@ -28,7 +28,7 @@ def test_extract_counts():
 
 
 def test_presentation_from_dga_products_matches_extract():
-    # kch table reads the relations off the DGA's dB and dC; they must be
+    # Run reads the relations off the DGA's dB and dC; they must be
     # extract_presentation's, in the same order with the same term order
     for name, _ in bundled_table():
         cd = crossing_data(bundled_knot(name))
