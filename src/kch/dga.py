@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .laurent import LaurentPoly
-from .ncalg import Derivation, Generator, NCPoly, _mul_into, _poly
+from .ncalg import Derivation, NCPoly, _letter, _mul_into, _poly
 
 # The DGA of a diagram with more crossings than this is refused before
 # anything is allocated.  It has 4n^2 generators, and building and
@@ -50,12 +50,11 @@ def generator_counts(n):
     return {0: n * (n - 1), 1: 2 * n * n, 2: n * n + n}
 
 
-def _a_entry(i, j, sign=1):
-    """sign * A_ij as an NCPoly (diagonal entries are 1 + m)."""
+def _a_entry(i, j):
+    """A_ij as an NCPoly (diagonal entries are 1 + m)."""
     if i == j:
-        return NCPoly.scalar(LaurentPoly.const(sign)
-                             + LaurentPoly.unit(sign, 0, 1))
-    return NCPoly.gen(Generator("a", i, j), LaurentPoly.const(sign))
+        return NCPoly.scalar(LaurentPoly.const(1) + LaurentPoly.mu())
+    return NCPoly.gen(_letter("a", i, j))
 
 
 def _sparse(*entries):
@@ -74,26 +73,25 @@ def build_matrices(cd):
     given crossing data.
 
     Entries are indexed from 0 internally; crossing/arc numbers in the
-    crossing data are 1-based.
+    crossing data are 1-based.  The Psi entries negate A's a_ij.
     """
     n = cd.n
     _check_size(n)
+    a = [[_a_entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     eps1 = cd.eps[0]
     mu = NCPoly.scalar(LaurentPoly.mu())
-    mats = {"psi_l": [], "psi_r": [], "psi_l2": [], "psi_r1": []}
+    mats = {"psi_l": [], "psi_r": [], "psi_l2": [], "psi_r1": [], "A": a}
     for al in range(1, n + 1):
         o, l, r = cd.o[al - 1], cd.l[al - 1], cd.r[al - 1]
         col_unit = LaurentPoly.lam(-eps1) if al == 1 else LaurentPoly.const(1)
         r_unit = NCPoly.scalar(LaurentPoly.unit(1, eps1, 1) if al == 1
                                else LaurentPoly.mu())
         mats["psi_l"].append(_sparse((r, NCPoly.scalar(col_unit)), (l, mu),
-                                     (o, _a_entry(l, o, sign=-1))))
+                                     (o, -a[l - 1][o - 1])))
         mats["psi_r"].append(_sparse((r, r_unit), (l, NCPoly.scalar(1)),
-                                     (o, _a_entry(o, l, sign=-1))))
-        mats["psi_l2"].append(_sparse((l, mu), (o, _a_entry(l, o, sign=-1))))
+                                     (o, -a[o - 1][l - 1])))
+        mats["psi_l2"].append(_sparse((l, mu), (o, -a[l - 1][o - 1])))
         mats["psi_r1"].append(_sparse((r, r_unit)))
-    mats["A"] = [[_a_entry(i, j) for j in range(1, n + 1)]
-                 for i in range(1, n + 1)]
     return mats
 
 
@@ -151,21 +149,22 @@ class FramedKnotDGA:
     def differential(self):
         n, mats = self.n, self.matrices
         # one-letter words of b_ij and c_ij, indexed from 0
-        b, c = ([[(Generator(kind, i, j),) for j in range(1, n + 1)]
+        b, c = ([[(_letter(kind, i, j),) for j in range(1, n + 1)]
                  for i in range(1, n + 1)] for kind in "bc")
         c_cols = list(zip(*c))
         l_rows, r_cols = mats["psi_l"], mats["psi_r"]
         l2_rows, r1_cols = mats["psi_l2"], mats["psi_r1"]
         zero = NCPoly.zero()
-        images = {Generator("a", i, j): zero for i in range(1, n + 1)
-                  for j in range(1, n + 1) if i != j}
+        # the a_ij of A, off its diagonal, have zero images
+        images = {w[0]: zero for row in mats["A"] for entry in row
+                  for w in entry.terms if w}
         for i in range(n):
             for j in range(n):
                 images[b[i][j][0]] = mats["dB"][i][j]
                 images[c[i][j][0]] = mats["dC"][i][j]
-                images[Generator("d", i + 1, j + 1)] = _d_image(
+                images[_letter("d", i + 1, j + 1)] = _d_image(
                     b[i], r_cols[j], l_rows[i], c_cols[j])
-            images[Generator("e", i + 1)] = _d_image(
+            images[_letter("e", i + 1)] = _d_image(
                 b[i], r1_cols[i], l2_rows[i], c_cols[i])
         return Derivation(images)
 

@@ -254,10 +254,6 @@ def to_text(pd):
     return "PD[%s]" % ",".join("X[%d,%d,%d,%d]" % c for c in pd.crossings)
 
 
-def to_json_obj(pd):
-    return {"crossings": [list(c) for c in pd.crossings]}
-
-
 # -- diagram operations -----------------------------------------------
 
 def mirror(pd):

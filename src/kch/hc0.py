@@ -5,20 +5,19 @@ by the entries of PsiL.A and A.PsiR.  Simplification repeatedly eliminates
 a generator that occurs linearly with a unit coefficient and nowhere else
 in the same relation; this never changes the quotient algebra.  It keeps
 its offers in a heap, finds each relation's offer and letters in one pass,
-and compares the nc_unit_normalize forms of relations only when they
-share a word set, so most relations are never unit-normalized.
+indexes the relations by letter, and tests two relations for being unit
+multiples (ncalg.is_unit_multiple) only when they share a word set.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import chain
 
 from .dga import IntractableError, build_matrices, relation_products
-from .ncalg import NCPoly, nc_unit_normalize
+from .ncalg import NCPoly, is_unit_multiple
 
 
 @dataclass
@@ -76,55 +75,64 @@ def _offer(rel, alive):
     alive g with rel = u*g + w, u a unit and g in no word of w, cost being
     (longest word, terms) of w, or None if no generator qualifies."""
     terms = rel.terms
-    letters = Counter(chain.from_iterable(terms))
-    for g in sorted(g for g, n in letters.items()
-                    if n == 1 and g in alive and (g,) in terms):
-        if terms[(g,)].is_ring_unit():
-            longest = max((len(w) for w in terms if w != (g,)), default=0)
-            return ((longest, len(terms) - 1), g, terms[(g,)]), letters
-    return None, letters
+    letters = {}
+    for w in terms:
+        for x in w:
+            letters[x] = letters.get(x, 0) + 1
+    g = None
+    for x, n in letters.items():
+        if n == 1 and (g is None or x < g) and x in alive:
+            u = terms.get((x,))
+            if u is not None and u.is_ring_unit():
+                g = x
+    if g is None:
+        return None, letters
+    longest = max((len(w) for w in terms if w != (g,)), default=0)
+    return ((longest, len(terms) - 1), g, terms[(g,)]), letters
 
 
-def _settle(cache, holder, heap, rels, alive):
+def _settle(cache, holder, index, heap, rels, alive):
     """Cache (relation, word set, offer, letters) for each (position,
-    relation) of rels in ascending position, push (cost, position) of its
-    offer onto heap, and keep one relation per nc_unit_normalize form, the
-    one at the smallest position.  A unit keeps the words, so holder maps
-    each word set to the positions that hold it, and a relation is
-    normalized only when it meets a peer there.  No position of rels may
-    be cached yet.  Zero relations are dropped.  Returns the number of
-    terms in the relations dropped as duplicates."""
+    relation) of rels in ascending position, file the position under its
+    word set in holder and under each of its letters in index, push (cost,
+    position) of its offer onto heap, and keep one relation per class of
+    unit multiples, the one at the smallest position; a unit keeps the
+    words, so only peers in holder are tested.  No position of rels may be
+    cached yet.  Zero relations are dropped.  Returns the number of terms
+    in the relations dropped as duplicates."""
     dropped = 0
     for p, rel in rels:
         if not rel:
             continue
         words = frozenset(rel.terms)
-        peers = holder.setdefault(words, [])
-        if peers:
-            form = nc_unit_normalize(rel)
-            q = next((q for q in peers
-                      if nc_unit_normalize(cache[q][0]) == form), None)
-            if q is not None:
-                if q < p:
-                    dropped += len(rel.terms)
-                    continue
-                dropped += len(cache.pop(q)[0].terms)
-                peers.remove(q)
-        peers.append(p)
+        q = next((q for q in holder.get(words, ())
+                  if is_unit_multiple(rel, cache[q][0])), None)
+        if q is not None:
+            if q < p:
+                dropped += len(rel.terms)
+                continue
+            dropped += len(_release(cache, holder, index, q).terms)
+        holder.setdefault(words, []).append(p)
         offer, letters = _offer(rel, alive)
         cache[p] = (rel, words, offer, letters)
+        for x in letters:
+            index[x].add(p)
         if offer:
             heappush(heap, (offer[0], p))
     return dropped
 
 
-def _release(cache, holder, p):
-    """Uncache the relation at position p and return it."""
-    rel, words, _, _ = cache.pop(p)
+def _release(cache, holder, index, p):
+    """Uncache the relation at position p, unfile it, and return it."""
+    rel, words, _, letters = cache.pop(p)
     peers = holder[words]
     peers.remove(p)
     if not peers:
         del holder[words]
+    for x in letters:
+        index[x].discard(p)
+        if not index[x]:
+            del index[x]
     return rel
 
 
@@ -149,20 +157,21 @@ def simplify(pres):
 
     The loop runs on the relations' own Generator letters.  _settle
     caches each relation's offer and letter counts, found in one pass over
-    its words, and compares nc_unit_normalize forms only where two
-    relations share a word set.  A heap holds (cost, position) of every
-    offer; an entry whose relation has since been dropped or changed its
-    offer is skipped.
-    After a step only the relations that contained g are settled again:
-    no other offer changes.  Raises IntractableError once the relations
-    hold more than MAX_RELATION_TERMS terms."""
+    its words, files it by letter, and tests it for a unit multiple only
+    against relations with its word set.  A heap holds (cost, position)
+    of every offer; an entry whose relation has since been dropped or
+    changed its offer is skipped.  After a step only the relations that
+    contained g, read off the letter index, are settled again: no other
+    offer changes.  Raises IntractableError once the relations hold more
+    than MAX_RELATION_TERMS terms."""
     alive = set(pres.generators)
     cache = {}   # position -> (relation, word set, offer, letter counts)
     holder = {}  # word set -> positions of the relations with it
+    index = defaultdict(set)  # letter -> positions of relations with it
     heap = []    # (cost, position) of every offer made, some since stale
     size = sum(len(r.terms) for r in pres.relations)  # terms held
-    size -= _settle(cache, holder, heap, list(enumerate(pres.relations)),
-                    alive)
+    size -= _settle(cache, holder, index, heap,
+                    list(enumerate(pres.relations)), alive)
     log = list(pres.substitution_log)
     while heap:
         cost, p = heappop(heap)
@@ -170,14 +179,13 @@ def simplify(pres):
         if offer is None or offer[0] != cost:
             continue
         _, g, u = offer
-        rel = _release(cache, holder, p)
+        rel = _release(cache, holder, index, p)
         size -= len(rel.terms)
         replacement = NCPoly({w: c for w, c in rel.terms.items()
                               if w != (g,)}) * -u.inverse_unit()
-        touched = sorted(q for q, entry in cache.items() if g in entry[3])
         changed = []
-        for q in touched:
-            rel = _release(cache, holder, q)
+        for q in sorted(index.get(g, ())):
+            rel = _release(cache, holder, index, q)
             new = rel.substitute(g, replacement)
             size += len(new.terms) - len(rel.terms)
             if size > MAX_RELATION_TERMS:
@@ -187,7 +195,7 @@ def simplify(pres):
             changed.append((q, new))
         alive.discard(g)
         log.append((g, replacement))
-        size -= _settle(cache, holder, heap, changed, alive)
+        size -= _settle(cache, holder, index, heap, changed, alive)
     return Presentation(generators=sorted(alive),
                         relations=[cache[p][0] for p in sorted(cache)],
                         substitution_log=log)

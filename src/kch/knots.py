@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .diagram import DiagramError, parse_pd
+from .diagram import DiagramError
 
 
 def parse_table(text):
@@ -45,9 +45,3 @@ def bundled_table():
     text = (resources.files("kch") / "data" / "knots.txt").read_text()
     return parse_table(text)
 
-
-def bundled_knot(name):
-    for nm, code in bundled_table():
-        if nm == name:
-            return parse_pd(code)
-    raise KeyError("no bundled knot named %r" % (name,))

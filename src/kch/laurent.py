@@ -248,7 +248,6 @@ def _shared_unit(c, i, j):
     return u
 
 
-ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.unit(1)
 MINUS_ONE = ONE.neg
 
@@ -409,20 +408,6 @@ class UniPoly:
             xs = "" if k == 0 else ("x" if k == 1 else "x^%d" % k)
             parts.append("(%s)%s" % (render(c), xs))
         return " + ".join(reversed(parts))
-
-
-def sylvester_matrix(p, q):
-    """Sylvester matrix of two UniPoly in x, entries LaurentPoly."""
-    n, m = p.degree, q.degree
-    size = n + m
-    rows = []
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    for r in range(m):
-        rows.append([ZERO] * r + pc + [ZERO] * (size - r - n - 1))
-    for r in range(n):
-        rows.append([ZERO] * r + qc + [ZERO] * (size - r - m - 1))
-    return rows
 
 
 def _block_minors(p, d):

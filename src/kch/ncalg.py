@@ -20,6 +20,9 @@ gives the same result.
 ``Derivation.apply`` reads ``images`` at each call, splices only letters
 with a nonzero image (no a_ij has one), and carries the Leibniz sign as
 a flag, negating a word's coefficient only when a splice needs it.
+
+``is_unit_multiple`` is the one test for p = ±l^a*m^b*q: it reads the
+unit off one word and stops at the first term that disagrees.
 """
 
 from __future__ import annotations
@@ -71,6 +74,13 @@ class Generator(int):
 # 1) below _D, d and e (degree 2) from _D on
 _B = _SPAN2
 _D = 3 * _SPAN2
+_KIND_BASE = {kind: k * _SPAN2 for k, kind in enumerate(_KINDS)}
+
+
+def _letter(kind, i, j=0):
+    """Generator(kind, i, j) for indices that the caller holds in range,
+    without Generator.__new__'s checks."""
+    return int.__new__(Generator, _KIND_BASE[kind] + i * _SPAN + j)
 
 
 def _word_key(word):
@@ -263,19 +273,26 @@ class NCPoly:
         return "NCPoly(%s)" % self
 
 
-def nc_unit_normalize(p):
-    """Scale by a unit ±l^a*m^b so the joint min exponents are 0 and the
-    leading coefficient of the smallest word is positive."""
-    if not p:
-        raise ValueError("cannot normalize the zero polynomial")
-    i0 = min(i for c in p.terms.values() for (i, _) in c.terms)
-    j0 = min(j for c in p.terms.values() for (_, j) in c.terms)
-    q = p * LaurentPoly.unit(1, -i0, -j0) if i0 or j0 else p
-    w0 = min(q.terms, key=_word_key)
-    lead = q.terms[w0]
-    if lead.terms[min(lead.terms)] < 0:
-        q = -q
-    return q
+def is_unit_multiple(p, q):
+    """True iff p = u*q for a unit u = ±l^a*m^b, so False when the words
+    differ.  u is read off the least-exponent terms of the coefficients on
+    one word; every coefficient is then checked term by term, that one
+    too, and the test stops at the first mismatch."""
+    if len(p.terms) != len(q.terms):
+        return False
+    sign = None
+    for w, c in p.terms.items():
+        d = q.terms.get(w)
+        if d is None or len(d.terms) != len(c.terms):
+            return False
+        if sign is None:
+            (ci, cj), (qi, qj) = min(c.terms), min(d.terms)
+            sign = 1 if c.terms[ci, cj] == d.terms[qi, qj] else -1
+            di, dj = ci - qi, cj - qj
+        for (i, j), a in c.terms.items():
+            if d.terms.get((i - di, j - dj)) != sign * a:
+                return False
+    return True
 
 
 class Derivation:

@@ -1,7 +1,23 @@
 """Shared test helpers: dense n x n references for the DGA's sparse
-matrices, and diagrams of any size."""
+matrices, diagrams of any size and by name, the unit normal form that
+oracles compare relations by, and Sylvester matrices."""
 
+from kch.diagram import parse_pd
+from kch.knots import bundled_table
+from kch.laurent import LaurentPoly
 from kch.ncalg import Generator, NCPoly
+
+
+def bundled_knot(name):
+    """The bundled knot called name, parsed."""
+    for nm, code in bundled_table():
+        if nm == name:
+            return parse_pd(code)
+    raise KeyError("no bundled knot named %r" % (name,))
+
+
+def to_json_obj(pd):
+    return {"crossings": [list(c) for c in pd.crossings]}
 
 
 def kink_chain(n):
@@ -49,3 +65,38 @@ def generator_matrix(kind, n):
     """The n x n matrix of the one-letter words of kind's generators."""
     return [[NCPoly.gen(Generator(kind, i, j)) for j in range(1, n + 1)]
             for i in range(1, n + 1)]
+
+
+def nc_unit_normalize(p):
+    """Scale by a unit ±l^a*m^b so the joint min exponents are 0 and the
+    leading coefficient of the smallest word (shortest, then letter by
+    letter) is positive: p and q have one form iff p = u*q for a unit u."""
+    if not p:
+        raise ValueError("cannot normalize the zero polynomial")
+    i0 = min(i for c in p.terms.values() for (i, _) in c.terms)
+    j0 = min(j for c in p.terms.values() for (_, j) in c.terms)
+    if i0 or j0:
+        u = LaurentPoly.unit(1, -i0, -j0)
+        q = NCPoly({w: c * u for w, c in p.terms.items()})
+    else:
+        q = p
+    w0 = min(q.terms, key=lambda w: (len(w), w))
+    lead = q.terms[w0]
+    if lead.terms[min(lead.terms)] < 0:
+        q = -q
+    return q
+
+
+def sylvester_matrix(p, q):
+    """Sylvester matrix of two UniPoly in x, entries LaurentPoly."""
+    n, m = p.degree, q.degree
+    size = n + m
+    zero = LaurentPoly.zero()
+    rows = []
+    pc = list(reversed(p.coeffs))
+    qc = list(reversed(q.coeffs))
+    for r in range(m):
+        rows.append([zero] * r + pc + [zero] * (size - r - n - 1))
+    for r in range(n):
+        rows.append([zero] * r + qc + [zero] * (size - r - m - 1))
+    return rows

@@ -13,7 +13,7 @@ import subprocess
 import sys
 import time
 
-from helpers import sparse
+from helpers import bundled_knot, nc_unit_normalize, sparse, sylvester_matrix
 
 from kch.augment import (aug_signature, count_augmentations, distinguish,
                          first_difference)
@@ -21,10 +21,10 @@ from kch.augpoly import augmentation_polynomial, check_apoly_divisibility
 from kch.dga import build_dga, build_matrices, check_d_squared, check_grading
 from kch.diagram import apply_move, available_moves, crossing_data, parse_pd, renumber
 from kch.hc0 import extract_presentation, simplify
-from kch.knots import bundled_knot, bundled_table
+from kch.knots import bundled_table
 from kch.laurent import (LaurentPoly, UniPoly, parse_poly, resultant,
-                         sylvester_matrix, unit_normalize)
-from kch.ncalg import Generator, NCPoly, nc_unit_normalize
+                         unit_normalize)
+from kch.ncalg import Generator, NCPoly
 
 ONE = LaurentPoly.const(1)
 L = LaurentPoly.lam

@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from helpers import bundled_knot
 
 import kch.augment
 from kch.augment import (AugTable, IntractableError, aug_signature,
@@ -12,7 +13,7 @@ from kch.augment import (AugTable, IntractableError, aug_signature,
 from kch.augpoly import augmentation_polynomial
 from kch.diagram import apply_move, available_moves, crossing_data, mirror
 from kch.hc0 import Presentation, extract_presentation, simplify
-from kch.knots import bundled_knot, bundled_table
+from kch.knots import bundled_table
 from kch.laurent import LaurentPoly
 from kch.ncalg import Generator, NCPoly
 

@@ -4,13 +4,13 @@ from itertools import combinations
 
 import pytest
 import sympy
+from helpers import bundled_knot
 
 from kch.augpoly import (augmentation_polynomial, check_apoly_divisibility,
                          laurent_gcd)
 from kch.diagram import PDCode, crossing_data, parse_pd
 from kch.hc0 import (IntractableError, Presentation, extract_presentation,
                      simplify)
-from kch.knots import bundled_knot
 from kch.laurent import (LaurentPoly, UniPoly, parse_poly, resultant,
                          unit_normalize)
 

@@ -13,7 +13,7 @@ import subprocess
 import sys
 
 import pytest
-from helpers import kink_chain
+from helpers import bundled_knot, kink_chain
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +26,7 @@ from kch.augment import distinguish
 from kch.cli import build_parser, main
 from kch.diagram import (apply_move, available_moves, mirror, parse_pd,
                          reduced, to_text)
-from kch.knots import bundled_knot, bundled_table
+from kch.knots import bundled_table
 from kch.laurent import MINUS_ONE, ONE, LaurentPoly
 from kch.ncalg import NCPoly
 from kch.pipeline import Run

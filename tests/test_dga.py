@@ -3,7 +3,8 @@
 import random
 
 import pytest
-from helpers import dense, generator_matrix, kink_chain, matmul, sparse
+from helpers import (bundled_knot, dense, generator_matrix, kink_chain, matmul,
+                     sparse)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,7 @@ from kch.dga import (IntractableError, MAX_DGA_CROSSINGS, build_dga,
                      generator_counts)
 from kch.diagram import apply_move, available_moves, crossing_data, parse_pd
 from kch.hc0 import extract_presentation
-from kch.knots import bundled_knot, bundled_table
+from kch.knots import bundled_table
 from kch.laurent import LaurentPoly
 from kch.ncalg import Generator, NCPoly
 from kch.pipeline import Run

@@ -7,13 +7,14 @@ import json
 import random
 
 import pytest
+from helpers import bundled_knot, to_json_obj
 
 from kch.augment import aug_signature
 from kch.diagram import (DiagramError, MoveError, PDCode, apply_move,
                          available_moves, crossing_data, mirror, parse_pd,
                          r1_add, r1_remove, r2_add, r2_remove, r3, reduced,
-                         renumber, to_json_obj, to_text)
-from kch.knots import bundled_knot, bundled_table
+                         renumber, to_text)
+from kch.knots import bundled_table
 from kch.pipeline import Run
 
 TREFOIL_LH = "PD[X[3,6,4,1],X[5,2,6,3],X[1,4,2,5]]"

@@ -2,19 +2,21 @@
 
 import hashlib
 import random
+from collections import defaultdict
 
 import pytest
+from helpers import bundled_knot, nc_unit_normalize
 
 import kch.augment
 import kch.hc0
 from kch.dga import build_dga
-from kch.diagram import apply_move, available_moves, crossing_data
+from kch.diagram import apply_move, available_moves, crossing_data, mirror
 from kch.hc0 import (IntractableError, Presentation, _release, _settle,
                      extract_presentation, relation_presentation, replay_log,
                      simplify)
-from kch.knots import bundled_knot, bundled_table
+from kch.knots import bundled_table
 from kch.laurent import LaurentPoly
-from kch.ncalg import Generator, NCPoly, nc_unit_normalize
+from kch.ncalg import Generator, NCPoly
 
 L = LaurentPoly.lam
 M = LaurentPoly.mu
@@ -123,29 +125,34 @@ def test_simplify_size_budget(monkeypatch):
 
 
 def _simplify_by_rescanning(pres):
-    """Reference for simplify: every step rescans and re-normalizes every
-    relation, and substitutes into every relation that contains g.  It
+    """Reference for simplify: every step rescans every relation, keeps the
+    first of each nc_unit_normalize form (each relation is normalized
+    once), and substitutes into every relation that contains g.  It
     keeps the older two-phase rule, a phase that takes only replacements
     of words of at most two letters before an uncapped one; simplify runs
     one uncapped loop, which picks the same, since its key puts the
     longest replacement word first."""
 
     def offer(rel, alive):
-        for g in alive:
-            coeff = rel.terms.get((g,))
-            if coeff is None or not coeff.is_ring_unit():
+        for g in sorted(w[0] for w in rel.terms if len(w) == 1):
+            coeff = rel.terms[(g,)]
+            if g not in alive or not coeff.is_ring_unit():
                 continue
             if any(g in w for w in rel.terms if w != (g,)):
                 continue
             return g, coeff
         return None
 
+    forms = {}  # id -> (relation, its form); holding it keeps the id
+
     def dedupe(relations):
         seen, out = set(), []
-        for rel in relations:
-            key = nc_unit_normalize(rel) if rel else None
-            if key is not None and key not in seen:
-                seen.add(key)
+        for rel in filter(None, relations):
+            if id(rel) not in forms:
+                forms[id(rel)] = rel, nc_unit_normalize(rel)
+            form = forms[id(rel)][1]
+            if form not in seen:
+                seen.add(form)
                 out.append(rel)
         return out
 
@@ -162,15 +169,16 @@ def _simplify_by_rescanning(pres):
                 if hit is None:
                     continue
                 g, u = hit
-                repl = (rel - NCPoly.gen(g, u)) * (-u.inverse_unit())
-                cost = (max((len(w) for w in repl.terms), default=0),
-                        len(repl.terms))
+                # a unit multiple of rel - u*g, so it has the same words
+                rest = [w for w in rel.terms if w != (g,)]
+                cost = (max(map(len, rest), default=0), len(rest))
                 if cap is not None and cost[0] > cap:
                     continue
                 if best is None or cost + (idx, g) < best[0]:
-                    best = (cost + (idx, g), idx, g, repl)
+                    best = (cost + (idx, g), idx, g, u)
             if best is not None:
-                _, idx, g, repl = best
+                _, idx, g, u = best
+                repl = (relations[idx] - NCPoly.gen(g, u)) * -u.inverse_unit()
                 relations = [NCPoly.zero() if k == idx else
                              r.substitute(g, repl) if g in r.generators()
                              else r for k, r in enumerate(relations)]
@@ -182,14 +190,18 @@ def _simplify_by_rescanning(pres):
                         substitution_log=log)
 
 
-def _inflated(name, n, seed):
-    """A bundled knot grown to n crossings by seeded R2 moves."""
+def _grown(pd, n, seed, move="r2_add"):
+    """pd grown to n crossings by seeded moves of one kind."""
     rng = random.Random(seed)
-    pd = bundled_knot(name)
     while pd.n < n:
         pd = apply_move(pd, rng.choice(
-            [m for m in available_moves(pd) if m["move"] == "r2_add"]))
+            [m for m in available_moves(pd) if m["move"] == move]))
     return pd
+
+
+def _inflated(name, n, seed):
+    """A bundled knot grown to n crossings by seeded R2 moves."""
+    return _grown(bundled_knot(name), n, seed)
 
 
 def _assert_same_as_reference(pres):
@@ -216,25 +228,75 @@ def test_simplify_matches_reference_on_r2_inflations(name, n, seed):
     _assert_same_as_reference(extract_presentation(crossing_data(pd)))
 
 
+@pytest.mark.parametrize("name", [name for name, _ in bundled_table()])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_simplify_matches_reference_on_grown_knots(name, mirrored):
+    # each knot or its mirror, R2-inflated to n = 8 and to n = 10 with a
+    # seed each, and with one R1 kink
+    pd = bundled_knot(name)
+    pd = mirror(pd) if mirrored else pd
+    grown = [_grown(pd, n, seed) for n, seed in ((8, 1), (10, 2))]
+    grown.append(_grown(pd, pd.n + 1, 3, "r1_add"))
+    for pd in grown:
+        _assert_same_as_reference(extract_presentation(crossing_data(pd)))
+
+
 def test_simplify_keys_only_relations_that_share_a_word_set(monkeypatch):
-    # a unit multiple has its relation's word set, so _settle needs a
-    # normal form only where two relations share one: far fewer than settled
-    keys, settled = [], []
-    normalize, settle = kch.hc0.nc_unit_normalize, kch.hc0._settle
+    # a unit multiple has its relation's word set, so _settle tests for
+    # one only where two relations share one: far fewer than settled
+    calls, settled = [], []
+    multiple, settle = kch.hc0.is_unit_multiple, kch.hc0._settle
 
-    def counting_normalize(rel):
-        keys.append(rel)
-        return normalize(rel)
+    def counting_multiple(p, q):
+        calls.append(p)
+        return multiple(p, q)
 
-    def counting_settle(cache, holder, heap, rels, alive):
+    def counting_settle(cache, holder, index, heap, rels, alive):
         settled.extend(rel for _, rel in rels if rel)
-        return settle(cache, holder, heap, rels, alive)
+        return settle(cache, holder, index, heap, rels, alive)
 
-    monkeypatch.setattr(kch.hc0, "nc_unit_normalize", counting_normalize)
+    monkeypatch.setattr(kch.hc0, "is_unit_multiple", counting_multiple)
     monkeypatch.setattr(kch.hc0, "_settle", counting_settle)
     simplify(extract_presentation(crossing_data(_inflated("figure8", 10, 1))))
     assert len(settled) > 1000
-    assert 4 * len(keys) < len(settled)
+    assert 4 * len(calls) < len(settled)
+
+
+def _letter_index(cache):
+    """letter -> the cached positions whose relations hold it, rebuilt."""
+    index = {}
+    for p, entry in cache.items():
+        for w in entry[0].terms:
+            for x in w:
+                index.setdefault(x, set()).add(p)
+    return index
+
+
+def test_letter_index_follows_every_settle_and_release(monkeypatch):
+    # _settle releases an evicted peer through _release, so this checks
+    # the index mid-settle too, where it must already be consistent
+    settle, release = kch.hc0._settle, kch.hc0._release
+    calls = []
+
+    def checked_settle(cache, holder, index, heap, rels, alive):
+        calls.append("settle")
+        dropped = settle(cache, holder, index, heap, rels, alive)
+        assert index == _letter_index(cache)
+        calls.append("settled")
+        return dropped
+
+    def checked_release(cache, holder, index, p):
+        evicted = calls[-1] in ("settle", "evicted")
+        rel = release(cache, holder, index, p)
+        assert index == _letter_index(cache)
+        if evicted:
+            calls.append("evicted")
+        return rel
+
+    monkeypatch.setattr(kch.hc0, "_settle", checked_settle)
+    monkeypatch.setattr(kch.hc0, "_release", checked_release)
+    simplify(extract_presentation(crossing_data(_inflated("figure8", 10, 1))))
+    assert calls.count("settled") > 50 and calls.count("evicted") > 10
 
 
 # relations over plain int letters, which _settle only hashes and orders
@@ -247,31 +309,35 @@ _Y_UNIT = _Y * LaurentPoly.unit(1, -1, 3)
 
 
 def _settled(*batches):
-    """cache, holder, heap and the dropped-term counts after settling
-    batches of (position, relation) in turn, with every letter alive."""
-    cache, holder, heap = {}, {}, []
-    dropped = [_settle(cache, holder, heap, batch, {0, 1, 2})
+    """cache, holder, index, heap and the dropped-term counts after
+    settling batches of (position, relation) in turn, with every letter
+    alive."""
+    cache, holder, index, heap = {}, {}, defaultdict(set), []
+    dropped = [_settle(cache, holder, index, heap, batch, {0, 1, 2})
                for batch in batches]
-    return cache, holder, heap, dropped
+    return cache, holder, index, heap, dropped
 
 
 def test_settle_keeps_relations_that_share_words_but_not_a_unit():
-    cache, holder, heap, dropped = _settled([(0, _X), (1, _Y)])
+    cache, holder, index, heap, dropped = _settled([(0, _X), (1, _Y)])
     assert dropped == [0]
     assert [(p, entry[0]) for p, entry in cache.items()] == [(0, _X), (1, _Y)]
     assert holder == {frozenset(_X.terms): [0, 1]}
+    assert index == {0: {0, 1}, 1: {0, 1}, 2: {0, 1}}
     assert sorted(heap) == [((2, 1), 0), ((2, 1), 1)]
 
 
 def test_settle_keys_a_lone_word_set_lazily(monkeypatch):
-    forms = []
-    normalize = kch.hc0.nc_unit_normalize
-    monkeypatch.setattr(kch.hc0, "nc_unit_normalize",
-                        lambda rel: forms.append(rel) or normalize(rel))
-    cache, holder, heap, dropped = _settled([(0, _X)], [(1, NCPoly.gen(0))])
+    calls = []
+    multiple = kch.hc0.is_unit_multiple
+    monkeypatch.setattr(kch.hc0, "is_unit_multiple",
+                        lambda p, q: calls.append(p) or multiple(p, q))
+    cache, holder, index, heap, dropped = _settled([(0, _X)],
+                                                   [(1, NCPoly.gen(0))])
     assert dropped == [0, 0]
-    assert forms == []
+    assert calls == []
     assert holder == {frozenset(_X.terms): [0], frozenset({(0,)}): [1]}
+    assert index == {0: {0, 1}, 1: {0}, 2: {0}}
     rel, words, offer, letters = cache[0]
     assert (rel, words) == (_X, frozenset(_X.terms))
     assert offer == ((2, 1), 0, LaurentPoly.const(1))
@@ -280,44 +346,53 @@ def test_settle_keys_a_lone_word_set_lazily(monkeypatch):
 
 
 def test_settle_drops_a_unit_multiple_at_a_larger_position():
-    cache, holder, heap, dropped = _settled([(0, _X), (1, _X_UNIT)])
+    cache, holder, index, heap, dropped = _settled([(0, _X), (1, _X_UNIT)])
     assert dropped == [2]
     assert list(cache) == [0] and cache[0][0] is _X
     assert holder == {frozenset(_X.terms): [0]}
+    assert index == {0: {0}, 1: {0}, 2: {0}}
 
 
 def test_settle_evicts_a_unit_multiple_at_a_larger_position():
-    cache, holder, heap, dropped = _settled([(5, _X), (7, _Y)],
-                                            [(2, _X_UNIT)])
+    cache, holder, index, heap, dropped = _settled([(5, _X), (7, _Y)],
+                                                   [(2, _X_UNIT)])
     assert dropped == [0, 2]
     assert sorted(cache) == [2, 7] and cache[2][0] is _X_UNIT
     assert holder == {frozenset(_X.terms): [7, 2]}
+    assert index == {0: {2, 7}, 1: {2, 7}, 2: {2, 7}}
 
 
 def test_settle_evicts_the_second_peer_of_a_word_set():
     # the bucket holds two unit classes; the match is its second position
-    cache, holder, heap, dropped = _settled([(5, _X), (7, _Y)],
-                                            [(6, _Y_UNIT)])
+    cache, holder, index, heap, dropped = _settled([(5, _X), (7, _Y)],
+                                                   [(6, _Y_UNIT)])
     assert dropped == [0, 2]
     assert sorted(cache) == [5, 6] and cache[6][0] is _Y_UNIT
     assert holder == {frozenset(_X.terms): [5, 6]}
+    assert index == {0: {5, 6}, 1: {5, 6}, 2: {5, 6}}
 
 
 def test_settle_drops_zero_relations():
-    cache, holder, heap, dropped = _settled([(0, NCPoly.zero()), (1, _X)],
-                                            [(2, _X - _X)])
+    cache, holder, index, heap, dropped = _settled(
+        [(0, NCPoly.zero()), (1, _X)], [(2, _X - _X)])
     assert dropped == [0, 0]
     assert list(cache) == [1]
     assert holder == {frozenset(_X.terms): [1]}
+    assert index == {0: {1}, 1: {1}, 2: {1}}
 
 
 def test_release_leaves_no_empty_word_set():
     lone = NCPoly.gen(0)
-    cache, holder, heap, dropped = _settled([(0, _X), (1, _Y), (2, lone)])
-    assert _release(cache, holder, 0) is _X
+    cache, holder, index, heap, dropped = _settled([(0, _X), (1, _Y),
+                                                    (2, lone)])
+    assert _release(cache, holder, index, 0) is _X
     assert holder == {frozenset(_X.terms): [1], frozenset(lone.terms): [2]}
-    assert _release(cache, holder, 2) is lone
+    assert index == {0: {1, 2}, 1: {1}, 2: {1}}
+    assert _release(cache, holder, index, 2) is lone
     assert holder == {frozenset(_X.terms): [1]} and sorted(cache) == [1]
+    assert index == {0: {1}, 1: {1}, 2: {1}}
+    assert _release(cache, holder, index, 1) is _Y
+    assert holder == {} and index == {}
 
 
 def test_simplify_never_eliminates_unlisted_generators():

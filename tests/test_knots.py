@@ -1,9 +1,10 @@
 """Tests for knot-table file handling."""
 
 import pytest
+from helpers import bundled_knot
 
 from kch.diagram import DiagramError
-from kch.knots import bundled_knot, bundled_table, load_table, parse_table
+from kch.knots import bundled_table, load_table, parse_table
 
 
 def test_bundled_table_entries():

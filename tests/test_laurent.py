@@ -4,12 +4,13 @@ import itertools
 import random
 
 import pytest
+from helpers import sylvester_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kch.laurent import (MINUS_ONE, ONE, LaurentPoly, UniPoly, _mul_into,
                          _quotient, divides, pairwise_resultants, parse_poly,
-                         render, resultant, sylvester_matrix, unit_normalize)
+                         render, resultant, unit_normalize)
 
 L = LaurentPoly.lam
 M = LaurentPoly.mu

@@ -5,16 +5,16 @@ import pickle
 import random
 
 import pytest
-from helpers import dense, matmul
+from helpers import bundled_knot, dense, matmul, nc_unit_normalize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kch.dga import build_dga, build_matrices, relation_products
 from kch.diagram import apply_move, available_moves, crossing_data
-from kch.knots import bundled_knot, bundled_table
+from kch.knots import bundled_table
 from kch.laurent import MINUS_ONE, ONE, LaurentPoly
 from kch.ncalg import (Derivation, Generator, NCPoly, _accumulate,
-                       nc_unit_normalize)
+                       is_unit_multiple)
 
 A12 = Generator("a", 1, 2)
 A21 = Generator("a", 2, 1)
@@ -196,6 +196,44 @@ def test_nc_unit_normalize_identifies_unit_multiples(p, sign, a, b):
     assert nc_unit_normalize(form) == form
     assert nc_unit_normalize(p * unit) == form
     assert nc_unit_normalize(p * (2 * unit)) != form
+
+
+def _rescaled(p, unit, k=None, factor=None):
+    """p with every coefficient times unit, and the k-th word's (mod the
+    number of words) times factor too."""
+    k = None if k is None else k % len(p.terms)
+    return NCPoly({w: c * unit * factor if n == k else c * unit
+                   for n, (w, c) in enumerate(p.terms.items())})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(p=_small_polys, q=_small_polys, sign=st.sampled_from([1, -1]),
+       a=st.integers(-3, 3), b=st.integers(-3, 3), k=st.integers(0, 3))
+def test_is_unit_multiple_agrees_with_the_unit_normal_form(p, q, sign, a, b,
+                                                           k):
+    # simplify's one unit notion: p = u*q for u = ±l^a*m^b exactly when
+    # the two nc_unit_normalize forms are equal
+    unit = LaurentPoly.unit(sign, a, b)
+    one_word = len(p.terms) == 1
+    cases = [
+        (q, None),
+        (_rescaled(p, unit), True),
+        (_rescaled(p, 2 * unit), False),
+        (_rescaled(p, unit + unit * LaurentPoly.mu()), False),
+        # one word's ratio differs: by a sign, by a shift, by 2 or 1 + m
+        (_rescaled(p, unit, k, MINUS_ONE), one_word),
+        (_rescaled(p, unit, k, LaurentPoly.lam()), one_word),
+        (_rescaled(p, unit, k, LaurentPoly.const(2)), False),
+        (_rescaled(p, unit, k, ONE + LaurentPoly.mu()), False),
+        # other word sets: one more word, one word fewer
+        (_rescaled(p, unit) + NCPoly.gen(4), False),
+        (NCPoly(dict(list(_rescaled(p, unit).terms.items())[1:])), False),
+    ]
+    form = nc_unit_normalize(p)
+    for r, expected in cases:
+        same = bool(r) and nc_unit_normalize(r) == form
+        assert is_unit_multiple(r, p) == is_unit_multiple(p, r) == same
+        assert expected is None or same == expected
 
 
 def test_derivation_leibniz_sign():
