@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .laurent import LaurentPoly
-from .ncalg import Derivation, NCPoly, _letter, _mul_into, _poly
+from .ncalg import Derivation, Generator, NCPoly, _mul_into, _poly
 
 # The DGA of a diagram with more crossings than this is refused before
 # anything is allocated.  It has 4n^2 generators, and building and
@@ -54,7 +54,7 @@ def _a_entry(i, j):
     """A_ij as an NCPoly (diagonal entries are 1 + m)."""
     if i == j:
         return NCPoly.scalar(LaurentPoly.const(1) + LaurentPoly.mu())
-    return NCPoly.gen(_letter("a", i, j))
+    return NCPoly.gen(Generator("a", i, j))
 
 
 def _sparse(*entries):
@@ -149,7 +149,7 @@ class FramedKnotDGA:
     def differential(self):
         n, mats = self.n, self.matrices
         # one-letter words of b_ij and c_ij, indexed from 0
-        b, c = ([[(_letter(kind, i, j),) for j in range(1, n + 1)]
+        b, c = ([[(Generator(kind, i, j),) for j in range(1, n + 1)]
                  for i in range(1, n + 1)] for kind in "bc")
         c_cols = list(zip(*c))
         l_rows, r_cols = mats["psi_l"], mats["psi_r"]
@@ -162,9 +162,9 @@ class FramedKnotDGA:
             for j in range(n):
                 images[b[i][j][0]] = mats["dB"][i][j]
                 images[c[i][j][0]] = mats["dC"][i][j]
-                images[_letter("d", i + 1, j + 1)] = _d_image(
+                images[Generator("d", i + 1, j + 1)] = _d_image(
                     b[i], r_cols[j], l_rows[i], c_cols[j])
-            images[_letter("e", i + 1)] = _d_image(
+            images[Generator("e", i + 1)] = _d_image(
                 b[i], r1_cols[i], l2_rows[i], c_cols[i])
         return Derivation(images)
 

@@ -35,6 +35,7 @@ _DEGREES = (0, 1, 1, 2, 2)
 # 2^30: one digit of a Python int, the fastest kind to hash and compare
 _SPAN = 14_654
 _SPAN2 = _SPAN * _SPAN
+_KIND_BASE = {kind: k * _SPAN2 for k, kind in enumerate(_KINDS)}
 
 
 class Generator(int):
@@ -47,7 +48,9 @@ class Generator(int):
     def __new__(cls, kind, i, j=0):
         if not (0 <= i < _SPAN and 0 <= j < _SPAN):
             raise ValueError("generator index out of range: %d, %d" % (i, j))
-        return int.__new__(cls, (_KINDS.index(kind) * _SPAN + i) * _SPAN + j)
+        if kind not in _KIND_BASE:
+            raise ValueError("unknown generator kind: %r" % (kind,))
+        return int.__new__(cls, _KIND_BASE[kind] + i * _SPAN + j)
 
     kind = property(lambda g: _KINDS[g // _SPAN2])
     i = property(lambda g: g // _SPAN % _SPAN)
@@ -74,13 +77,6 @@ class Generator(int):
 # 1) below _D, d and e (degree 2) from _D on
 _B = _SPAN2
 _D = 3 * _SPAN2
-_KIND_BASE = {kind: k * _SPAN2 for k, kind in enumerate(_KINDS)}
-
-
-def _letter(kind, i, j=0):
-    """Generator(kind, i, j) for indices that the caller holds in range,
-    without Generator.__new__'s checks."""
-    return int.__new__(Generator, _KIND_BASE[kind] + i * _SPAN + j)
 
 
 def _word_key(word):

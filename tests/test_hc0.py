@@ -190,18 +190,16 @@ def _simplify_by_rescanning(pres):
                         substitution_log=log)
 
 
-def _grown(pd, n, seed, move="r2_add"):
-    """pd grown to n crossings by seeded moves of one kind."""
+def _inflated(name, n, seed, mirrored=False, move="r2_add"):
+    """A bundled knot, or its mirror, grown to n crossings by seeded moves
+    of one kind."""
+    pd = bundled_knot(name)
+    pd = mirror(pd) if mirrored else pd
     rng = random.Random(seed)
     while pd.n < n:
         pd = apply_move(pd, rng.choice(
             [m for m in available_moves(pd) if m["move"] == move]))
     return pd
-
-
-def _inflated(name, n, seed):
-    """A bundled knot grown to n crossings by seeded R2 moves."""
-    return _grown(bundled_knot(name), n, seed)
 
 
 def _assert_same_as_reference(pres):
@@ -217,28 +215,34 @@ def test_simplify_matches_reference_on_bundled_knots(name):
         extract_presentation(crossing_data(bundled_knot(name))))
 
 
-_R2_CASES = [("figure8", 8, 1), ("trefoil_lh", 7, 2), ("5_2", 7, 3),
-             ("unknot", 7, 4), ("figure8", 10, 5), ("6_1", 8, 6)]
+# (name, n, seed, mirrored, move): six R2 inflations; each bundled knot
+# R2-inflated to n = 8 or 9 and its mirror to two crossings more, with
+# seed 1 or 2 (each size with both seeds); each knot and its mirror with
+# one R1 kink
+_GROWN_CASES = [(name, n, seed, False, "r2_add") for name, n, seed in [
+    ("figure8", 8, 1), ("trefoil_lh", 7, 2), ("5_2", 7, 3),
+    ("unknot", 7, 4), ("figure8", 10, 5), ("6_1", 8, 6)]]
+_GROWN_CASES += [(name, n + 2 * mirrored, seed, mirrored, "r2_add")
+                 for name, n, seed in [
+                     ("unknot", 9, 1), ("trefoil_lh", 9, 1),
+                     ("trefoil_rh", 9, 1), ("figure8", 8, 2), ("5_1", 9, 2),
+                     ("5_2", 9, 2), ("6_1", 8, 2)]
+                 for mirrored in [False, True]]
+_GROWN_CASES += [(name, n, 3, mirrored, "r1_add") for name, n in [
+    ("unknot", 2), ("trefoil_lh", 4), ("trefoil_rh", 4), ("figure8", 5),
+    ("5_1", 6), ("5_2", 6), ("6_1", 7)] for mirrored in [False, True]]
 
 
-@pytest.mark.parametrize("name, n, seed", _R2_CASES)
-def test_simplify_matches_reference_on_r2_inflations(name, n, seed):
-    pd = _inflated(name, n, seed)
+@pytest.mark.parametrize(
+    "name, n, seed, mirrored, move", _GROWN_CASES,
+    ids=["%s-%d-%d%s%s" % (name, n, seed, "-mirror" * mirrored,
+                            "-r1" * (move == "r1_add"))
+         for name, n, seed, mirrored, move in _GROWN_CASES])
+def test_simplify_matches_reference_on_r2_inflations(name, n, seed, mirrored,
+                                                     move):
+    pd = _inflated(name, n, seed, mirrored, move)
     assert pd.n == n
     _assert_same_as_reference(extract_presentation(crossing_data(pd)))
-
-
-@pytest.mark.parametrize("name", [name for name, _ in bundled_table()])
-@pytest.mark.parametrize("mirrored", [False, True])
-def test_simplify_matches_reference_on_grown_knots(name, mirrored):
-    # each knot or its mirror, R2-inflated to n = 8 and to n = 10 with a
-    # seed each, and with one R1 kink
-    pd = bundled_knot(name)
-    pd = mirror(pd) if mirrored else pd
-    grown = [_grown(pd, n, seed) for n, seed in ((8, 1), (10, 2))]
-    grown.append(_grown(pd, pd.n + 1, 3, "r1_add"))
-    for pd in grown:
-        _assert_same_as_reference(extract_presentation(crossing_data(pd)))
 
 
 def test_simplify_keys_only_relations_that_share_a_word_set(monkeypatch):
@@ -435,9 +439,9 @@ def _dump(pres):
 
 def test_simplify_output_bytes_are_pinned():
     # the reference tests compare dicts, which ignores key order; this
-    # pins the order too, on the bundled knots and the R2 inflations above
+    # pins the order too, on the bundled knots and the grown cases above
     inputs = [bundled_knot(name) for name, _ in bundled_table()]
-    inputs += [_inflated(*case) for case in _R2_CASES]
+    inputs += [_inflated(*case) for case in _GROWN_CASES]
     h = hashlib.sha256()
     for pd in inputs:
         pres = extract_presentation(crossing_data(pd))
@@ -447,5 +451,5 @@ def test_simplify_output_bytes_are_pinned():
         given = {id(g) for r in pres.relations for w in r.terms for g in w}
         assert all(id(g) in given for r in out.relations + [
             r for _, r in out.substitution_log] for w in r.terms for g in w)
-    assert h.hexdigest() == ("30b7a49725c7f8779861f5a273419233"
-                            "ec45ac72e8d3a2d97752401641a87fcc")
+    assert h.hexdigest() == ("56ce2e3e01488dfa65200fcddf42fefb"
+                            "4a11e67709ed8f9978f587f5d6a0d246")
