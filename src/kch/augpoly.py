@@ -20,7 +20,7 @@ from .laurent import (LaurentPoly, UniPoly, divides, pairwise_resultants,
 
 # The pairwise resultants give up past this many column sets in their
 # Laplace expansions, summed over the pairs.  The benchmark needs at most
-# 1,326 (trefoil_lh.n9), T(2,9) 149,016 and T(2,11) 865,788.
+# 666 (trefoil_lh.n9), T(2,9) 117,534 and T(2,11) 1,191,542.
 MAX_RESULTANT_COLUMN_SETS = 200_000
 
 

@@ -3,10 +3,12 @@
 The presentation has generators a_ij (i != j) and the 2n^2 relations given
 by the entries of PsiL.A and A.PsiR.  Simplification repeatedly eliminates
 a generator that occurs linearly with a unit coefficient and nowhere else
-in the same relation; this never changes the quotient algebra.  It keeps
-its offers in a heap, finds each relation's offer and letters in one pass,
-indexes the relations by letter, and tests two relations for being unit
-multiples (ncalg.is_unit_multiple) only when they share a word set.
+in the same relation; this never changes the quotient algebra.  Among the
+offers of shortest replacement words it takes the letter in the fewest
+live relations, each of which it rewrites (Markowitz's fill-in rule).  It
+finds each relation's offer and letters in one pass, indexes the relations
+by letter, and tests two relations for being unit multiples
+(ncalg.is_unit_multiple) only when they share a word set.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from heapq import heappop, heappush
 
 from .dga import IntractableError, build_matrices, relation_products
 from .ncalg import NCPoly, is_unit_multiple
@@ -91,15 +92,14 @@ def _offer(rel, alive):
     return ((longest, len(terms) - 1), g, terms[(g,)]), letters
 
 
-def _settle(cache, holder, index, heap, rels, alive):
+def _settle(cache, holder, index, rels, alive):
     """Cache (relation, word set, offer, letters) for each (position,
     relation) of rels in ascending position, file the position under its
-    word set in holder and under each of its letters in index, push (cost,
-    position) of its offer onto heap, and keep one relation per class of
-    unit multiples, the one at the smallest position; a unit keeps the
-    words, so only peers in holder are tested.  No position of rels may be
-    cached yet.  Zero relations are dropped.  Returns the number of terms
-    in the relations dropped as duplicates."""
+    word set in holder and under each of its letters in index, and keep
+    one relation per class of unit multiples, the one at the smallest
+    position; a unit keeps the words, so only peers in holder are tested.
+    No position of rels may be cached yet.  Zero relations are dropped.
+    Returns the number of terms in the relations dropped as duplicates."""
     dropped = 0
     for p, rel in rels:
         if not rel:
@@ -117,8 +117,6 @@ def _settle(cache, holder, index, heap, rels, alive):
         cache[p] = (rel, words, offer, letters)
         for x in letters:
             index[x].add(p)
-        if offer:
-            heappush(heap, (offer[0], p))
     return dropped
 
 
@@ -137,8 +135,9 @@ def _release(cache, holder, index, p):
 
 
 # simplify gives up once its relations hold more terms than this in all.
-# The largest total seen on the tests and benchmark inputs is 782; R2
-# inflations that used to exhaust memory stop here within ~5 s, ~110 MB.
+# The most held at any step is 580 on the benchmark inputs, 864 on the
+# other tests and 2,917 on the tests' T(3,7), T(3,8) and T(4,5) diagrams;
+# 10_123, closing (sigma_1 sigma_2^-1)^5, stops here within 0.6 s.
 MAX_RELATION_TERMS = 100_000
 
 
@@ -149,36 +148,36 @@ def simplify(pres):
     occurs in no word of w, offers the elimination g -> -u^-1*w; if
     several generators qualify, the relation offers the smallest.  Each
     step takes the offer with the smallest key (longest replacement word,
-    replacement terms, relation position), drops that relation,
-    substitutes the replacement into every relation containing g, and
-    then drops zero relations and unit multiples of an earlier relation.
-    The key puts short replacement words first: substituting long words
-    turns linear relations nonlinear and blocks later steps.
+    live relations holding g, replacement terms, relation position),
+    drops that relation, substitutes the replacement into every relation
+    containing g, and then drops zero relations and unit multiples of an
+    earlier relation.  The key puts short replacement words first:
+    substituting long words turns linear relations nonlinear and blocks
+    later steps.  Next it puts the fewest rewritten relations, the fill-in
+    of Markowitz's rule, so fewer relations grow per step.
 
     The loop runs on the relations' own Generator letters.  _settle
     caches each relation's offer and letter counts, found in one pass over
     its words, files it by letter, and tests it for a unit multiple only
-    against relations with its word set.  A heap holds (cost, position)
-    of every offer; an entry whose relation has since been dropped or
-    changed its offer is skipped.  After a step only the relations that
-    contained g, read off the letter index, are settled again: no other
-    offer changes.  Raises IntractableError once the relations hold more
-    than MAX_RELATION_TERMS terms."""
+    against relations with its word set.  Each step scans the cached
+    offers for the smallest key, counting g's relations off the letter
+    index; a step moves the counts of every letter it rewrites, so no key
+    outlives its step.  Only the relations that contained g are settled
+    again: no other offer changes.  Raises IntractableError once the
+    relations hold more than MAX_RELATION_TERMS terms."""
     alive = set(pres.generators)
     cache = {}   # position -> (relation, word set, offer, letter counts)
     holder = {}  # word set -> positions of the relations with it
     index = defaultdict(set)  # letter -> positions of relations with it
-    heap = []    # (cost, position) of every offer made, some since stale
     size = sum(len(r.terms) for r in pres.relations)  # terms held
-    size -= _settle(cache, holder, index, heap,
-                    list(enumerate(pres.relations)), alive)
+    size -= _settle(cache, holder, index, list(enumerate(pres.relations)),
+                    alive)
     log = list(pres.substitution_log)
-    while heap:
-        cost, p = heappop(heap)
-        offer = cache[p][2] if p in cache else None
-        if offer is None or offer[0] != cost:
-            continue
-        _, g, u = offer
+    while best := min(((o[0][0], len(index[o[1]]), o[0][1], p)
+                       for p, (_, _, o, _) in cache.items() if o),
+                      default=None):
+        p = best[3]
+        _, g, u = cache[p][2]
         rel = _release(cache, holder, index, p)
         size -= len(rel.terms)
         replacement = NCPoly({w: c for w, c in rel.terms.items()
@@ -195,7 +194,7 @@ def simplify(pres):
             changed.append((q, new))
         alive.discard(g)
         log.append((g, replacement))
-        size -= _settle(cache, holder, index, heap, changed, alive)
+        size -= _settle(cache, holder, index, changed, alive)
     return Presentation(generators=sorted(alive),
                         relations=[cache[p][0] for p in sorted(cache)],
                         substitution_log=log)

@@ -1,8 +1,8 @@
 """Shared test helpers: dense n x n references for the DGA's sparse
-matrices, diagrams of any size and by name, the unit normal form that
-oracles compare relations by, and Sylvester matrices."""
+matrices, diagrams of any size, by name and as braid closures, the unit
+normal form that oracles compare relations by, and Sylvester matrices."""
 
-from kch.diagram import parse_pd
+from kch.diagram import PDCode, parse_pd
 from kch.knots import bundled_table
 from kch.laurent import LaurentPoly
 from kch.ncalg import Generator, NCPoly
@@ -14,6 +14,41 @@ def bundled_knot(name):
         if nm == name:
             return parse_pd(code)
     raise KeyError("no bundled knot named %r" % (name,))
+
+
+def braid_pd(word, strands):
+    """The closure of a braid word on strands strands as a PDCode: k
+    stands for sigma_k and -k for its inverse.  Strands run downward;
+    sigma_i is X[TL,BL,BR,TR] with the top-left strand under, its inverse
+    X[TR,TL,BL,BR]; the strand entering at TL leaves at BR, the one
+    entering at TR at BL.  The bottom edge at each position is the top
+    edge there, and edges are numbered along the knot from the first
+    crossing's incoming under-edge.  Raises ValueError on a link."""
+    cur = list(range(strands))  # the edge at each position; tops 0..s-1
+    rows = []
+    for x in word:
+        i = abs(x) - 1
+        if not 0 <= i < strands - 1:
+            raise ValueError("strand index %d out of range" % x)
+        bl = strands + 2 * len(rows)
+        br = bl + 1
+        rows.append((cur[i], cur[i + 1], bl, br, x > 0))
+        cur[i], cur[i + 1] = bl, br
+    top = {e: k for k, e in enumerate(cur)}  # each bottom edge's top edge
+    rows = [tuple(top.get(e, e) for e in row[:4]) + row[4:] for row in rows]
+    succ = {}
+    for tl, tr, bl, br, _ in rows:
+        succ[tl], succ[tr] = br, bl
+    e = rows[0][0] if rows[0][4] else rows[0][1]
+    label = {}
+    while e not in label:
+        label[e] = len(label) + 1
+        e = succ[e]
+    if len(label) != 2 * len(rows):
+        raise ValueError("the closure of %r is a link" % (word,))
+    return PDCode([tuple(label[e] for e in ((tl, bl, br, tr) if plus
+                                            else (tr, tl, bl, br)))
+                   for tl, tr, bl, br, plus in rows])
 
 
 def to_json_obj(pd):

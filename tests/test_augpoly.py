@@ -59,15 +59,15 @@ def _torus_2(k):
 def test_resultant_bound():
     assert sorted(_torus_2(3).crossings) \
         == sorted(bundled_knot("trefoil_lh").crossings)
-    # T(2,7): 12,166 column sets, within the bound
+    # T(2,7): 33,550 column sets, within the bound
     res = augmentation_polynomial(simplify(extract_presentation(
         crossing_data(_torus_2(7)))))
     assert res.supported
     assert check_apoly_divisibility(res.polynomial, parse_poly("l + m^14"))
-    # T(2,11): 865,788 column sets, refused before any is expanded
+    # T(2,11): 1,191,542 column sets, refused before any is expanded
     pres = simplify(extract_presentation(crossing_data(_torus_2(11))))
     with pytest.raises(IntractableError,
-                       match="^augpoly: 865788 column sets .* bound 200000$"):
+                       match="^augpoly: 1191542 column sets .* bound 200000$"):
         augmentation_polynomial(pres)
 
 

@@ -1,14 +1,16 @@
 """Tests for cord-algebra presentations and their simplification."""
 
+import functools
 import hashlib
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
-from helpers import bundled_knot, nc_unit_normalize
+from helpers import braid_pd, bundled_knot, nc_unit_normalize
 
 import kch.augment
 import kch.hc0
+from kch.augment import AugTable, count_augmentations
 from kch.dga import build_dga
 from kch.diagram import apply_move, available_moves, crossing_data, mirror
 from kch.hc0 import (IntractableError, Presentation, _release, _settle,
@@ -125,8 +127,9 @@ def test_simplify_size_budget(monkeypatch):
 
 
 def _simplify_by_rescanning(pres):
-    """Reference for simplify: every step rescans every relation, keeps the
-    first of each nc_unit_normalize form (each relation is normalized
+    """Reference for simplify: every step rescans every relation, counts
+    the relations holding each offered letter with its own scan, keeps
+    the first of each nc_unit_normalize form (each relation is normalized
     once), and substitutes into every relation that contains g.  It
     keeps the older two-phase rule, a phase that takes only replacements
     of words of at most two letters before an uncapped one; simplify runs
@@ -156,7 +159,7 @@ def _simplify_by_rescanning(pres):
                 out.append(rel)
         return out
 
-    relations = list(pres.relations)
+    relations = dedupe(pres.relations)
     log = list(pres.substitution_log)
     alive = sorted(set(pres.generators))
     for cap in (2, None):
@@ -164,6 +167,7 @@ def _simplify_by_rescanning(pres):
         while changed:
             changed = False
             best = None
+            holding = Counter(x for r in relations for x in r.generators())
             for idx, rel in enumerate(relations):
                 hit = offer(rel, alive) if rel else None
                 if hit is None:
@@ -171,11 +175,12 @@ def _simplify_by_rescanning(pres):
                 g, u = hit
                 # a unit multiple of rel - u*g, so it has the same words
                 rest = [w for w in rel.terms if w != (g,)]
-                cost = (max(map(len, rest), default=0), len(rest))
-                if cap is not None and cost[0] > cap:
+                longest = max(map(len, rest), default=0)
+                if cap is not None and longest > cap:
                     continue
-                if best is None or cost + (idx, g) < best[0]:
-                    best = (cost + (idx, g), idx, g, u)
+                key = (longest, holding[g], len(rest), idx)
+                if best is None or key < best[0]:
+                    best = (key, idx, g, u)
             if best is not None:
                 _, idx, g, u = best
                 repl = (relations[idx] - NCPoly.gen(g, u)) * -u.inverse_unit()
@@ -255,13 +260,13 @@ def test_simplify_keys_only_relations_that_share_a_word_set(monkeypatch):
         calls.append(p)
         return multiple(p, q)
 
-    def counting_settle(cache, holder, index, heap, rels, alive):
+    def counting_settle(cache, holder, index, rels, alive):
         settled.extend(rel for _, rel in rels if rel)
-        return settle(cache, holder, index, heap, rels, alive)
+        return settle(cache, holder, index, rels, alive)
 
     monkeypatch.setattr(kch.hc0, "is_unit_multiple", counting_multiple)
     monkeypatch.setattr(kch.hc0, "_settle", counting_settle)
-    simplify(extract_presentation(crossing_data(_inflated("figure8", 10, 1))))
+    simplify(extract_presentation(crossing_data(_inflated("figure8", 12, 1))))
     assert len(settled) > 1000
     assert 4 * len(calls) < len(settled)
 
@@ -282,9 +287,9 @@ def test_letter_index_follows_every_settle_and_release(monkeypatch):
     settle, release = kch.hc0._settle, kch.hc0._release
     calls = []
 
-    def checked_settle(cache, holder, index, heap, rels, alive):
+    def checked_settle(cache, holder, index, rels, alive):
         calls.append("settle")
-        dropped = settle(cache, holder, index, heap, rels, alive)
+        dropped = settle(cache, holder, index, rels, alive)
         assert index == _letter_index(cache)
         calls.append("settled")
         return dropped
@@ -313,22 +318,22 @@ _Y_UNIT = _Y * LaurentPoly.unit(1, -1, 3)
 
 
 def _settled(*batches):
-    """cache, holder, index, heap and the dropped-term counts after
-    settling batches of (position, relation) in turn, with every letter
-    alive."""
-    cache, holder, index, heap = {}, {}, defaultdict(set), []
-    dropped = [_settle(cache, holder, index, heap, batch, {0, 1, 2})
+    """cache, holder, index and the dropped-term counts after settling
+    batches of (position, relation) in turn, with every letter alive."""
+    cache, holder, index = {}, {}, defaultdict(set)
+    dropped = [_settle(cache, holder, index, batch, {0, 1, 2})
                for batch in batches]
-    return cache, holder, index, heap, dropped
+    return cache, holder, index, dropped
 
 
 def test_settle_keeps_relations_that_share_words_but_not_a_unit():
-    cache, holder, index, heap, dropped = _settled([(0, _X), (1, _Y)])
+    cache, holder, index, dropped = _settled([(0, _X), (1, _Y)])
     assert dropped == [0]
     assert [(p, entry[0]) for p, entry in cache.items()] == [(0, _X), (1, _Y)]
     assert holder == {frozenset(_X.terms): [0, 1]}
     assert index == {0: {0, 1}, 1: {0, 1}, 2: {0, 1}}
-    assert sorted(heap) == [((2, 1), 0), ((2, 1), 1)]
+    assert [entry[2] for entry in cache.values()] \
+        == [((2, 1), 0, LaurentPoly.const(1))] * 2
 
 
 def test_settle_keys_a_lone_word_set_lazily(monkeypatch):
@@ -336,7 +341,7 @@ def test_settle_keys_a_lone_word_set_lazily(monkeypatch):
     multiple = kch.hc0.is_unit_multiple
     monkeypatch.setattr(kch.hc0, "is_unit_multiple",
                         lambda p, q: calls.append(p) or multiple(p, q))
-    cache, holder, index, heap, dropped = _settled([(0, _X)],
+    cache, holder, index, dropped = _settled([(0, _X)],
                                                    [(1, NCPoly.gen(0))])
     assert dropped == [0, 0]
     assert calls == []
@@ -346,11 +351,11 @@ def test_settle_keys_a_lone_word_set_lazily(monkeypatch):
     assert (rel, words) == (_X, frozenset(_X.terms))
     assert offer == ((2, 1), 0, LaurentPoly.const(1))
     assert letters == {0: 1, 1: 1, 2: 1}
-    assert sorted(heap) == [((0, 0), 1), ((2, 1), 0)]
+    assert cache[1][2] == ((0, 0), 0, LaurentPoly.const(1))
 
 
 def test_settle_drops_a_unit_multiple_at_a_larger_position():
-    cache, holder, index, heap, dropped = _settled([(0, _X), (1, _X_UNIT)])
+    cache, holder, index, dropped = _settled([(0, _X), (1, _X_UNIT)])
     assert dropped == [2]
     assert list(cache) == [0] and cache[0][0] is _X
     assert holder == {frozenset(_X.terms): [0]}
@@ -358,7 +363,7 @@ def test_settle_drops_a_unit_multiple_at_a_larger_position():
 
 
 def test_settle_evicts_a_unit_multiple_at_a_larger_position():
-    cache, holder, index, heap, dropped = _settled([(5, _X), (7, _Y)],
+    cache, holder, index, dropped = _settled([(5, _X), (7, _Y)],
                                                    [(2, _X_UNIT)])
     assert dropped == [0, 2]
     assert sorted(cache) == [2, 7] and cache[2][0] is _X_UNIT
@@ -368,7 +373,7 @@ def test_settle_evicts_a_unit_multiple_at_a_larger_position():
 
 def test_settle_evicts_the_second_peer_of_a_word_set():
     # the bucket holds two unit classes; the match is its second position
-    cache, holder, index, heap, dropped = _settled([(5, _X), (7, _Y)],
+    cache, holder, index, dropped = _settled([(5, _X), (7, _Y)],
                                                    [(6, _Y_UNIT)])
     assert dropped == [0, 2]
     assert sorted(cache) == [5, 6] and cache[6][0] is _Y_UNIT
@@ -377,7 +382,7 @@ def test_settle_evicts_the_second_peer_of_a_word_set():
 
 
 def test_settle_drops_zero_relations():
-    cache, holder, index, heap, dropped = _settled(
+    cache, holder, index, dropped = _settled(
         [(0, NCPoly.zero()), (1, _X)], [(2, _X - _X)])
     assert dropped == [0, 0]
     assert list(cache) == [1]
@@ -387,7 +392,7 @@ def test_settle_drops_zero_relations():
 
 def test_release_leaves_no_empty_word_set():
     lone = NCPoly.gen(0)
-    cache, holder, index, heap, dropped = _settled([(0, _X), (1, _Y),
+    cache, holder, index, dropped = _settled([(0, _X), (1, _Y),
                                                     (2, lone)])
     assert _release(cache, holder, index, 0) is _X
     assert holder == {frozenset(_X.terms): [1], frozenset(lone.terms): [2]}
@@ -451,5 +456,71 @@ def test_simplify_output_bytes_are_pinned():
         given = {id(g) for r in pres.relations for w in r.terms for g in w}
         assert all(id(g) in given for r in out.relations + [
             r for _, r in out.substitution_log] for w in r.terms for g in w)
-    assert h.hexdigest() == ("56ce2e3e01488dfa65200fcddf42fefb"
-                            "4a11e67709ed8f9978f587f5d6a0d246")
+    assert h.hexdigest() == ("1d890e030a2aae87b94d2d9f4c31c1cc"
+                            "5ccb654ae067c8c4eb0e8696b827120d")
+
+
+def _torus(p, q):
+    """T(p, q) as the braid word (sigma_1 ... sigma_{p-1})^q on p strands."""
+    return tuple(range(1, p)) * q, p
+
+
+@functools.lru_cache(maxsize=None)
+def _simplified_closure(word, strands, mirrored=False):
+    pd = braid_pd(word, strands)
+    return simplify(extract_presentation(crossing_data(
+        mirror(pd) if mirrored else pd)))
+
+
+def test_braid_closures_match_bundled_knots():
+    # the closures the tests below rely on: sigma_1^3 is the right-handed
+    # trefoil, sigma_1^5 is 5_1 and (sigma_1 sigma_2^-1)^2 the figure-eight
+    for name, word, strands in [("trefoil_rh", (1, 1, 1), 2),
+                                ("5_1", (1,) * 5, 2),
+                                ("figure8", (1, -2, 1, -2), 3)]:
+        want = simplify(extract_presentation(crossing_data(
+            bundled_knot(name))))
+        got = _simplified_closure(word, strands)
+        for p in (3, 5, 7):
+            assert count_augmentations(got, p) \
+                == count_augmentations(want, p), (name, p)
+    with pytest.raises(ValueError, match="is a link"):
+        braid_pd((1, -2) * 3, 3)
+
+
+@pytest.mark.parametrize("p, q, generators", [(3, 7, 2), (3, 8, 2),
+                                              (4, 5, 4)])
+def test_torus_knots_simplify_within_the_term_bound(p, q, generators):
+    # the key without the live-relation count went past MAX_RELATION_TERMS
+    # on each of these (152,488, 101,890 and 139,985 terms)
+    pres = _simplified_closure(*_torus(p, q))
+    assert len(pres.generators) == generators
+    assert sum(len(r.terms) for r in pres.relations) \
+        < kch.hc0.MAX_RELATION_TERMS // 100
+
+
+@pytest.mark.parametrize("p, q", [(3, 7), (3, 8), (4, 5)])
+def test_torus_knot_counts_obey_the_mirror_law_and_rotation(p, q):
+    # a cyclic rotation of the braid word closes to another diagram of the
+    # same knot, which simplify eliminates in another order
+    word, strands = _torus(p, q)
+    pres = _simplified_closure(word, strands)
+    mirrored = _simplified_closure(word, strands, mirrored=True)
+    rotated = _simplified_closure(word[1:] + word[:1], strands)
+    for prime in (3, 5):
+        counts = count_augmentations(pres, prime)
+        assert count_augmentations(mirrored, prime).as_dict() \
+            == {(pow(l0, -1, prime), m0): c
+                for (l0, m0), c in counts.as_dict().items()}, prime
+        assert count_augmentations(rotated, prime) == counts, prime
+
+
+@pytest.mark.parametrize("p, q, counts", [
+    (3, 4, (((1, 1), 2), ((1, 2), 2), ((2, 1), 2), ((2, 2), 1))),
+    (3, 5, (((1, 1), 1), ((1, 2), 1), ((2, 1), 0), ((2, 2), 1)))])
+def test_small_torus_knots_keep_their_counts(p, q, counts):
+    # the key without the live-relation count left 3 generators here; these
+    # are the counts it gave at p = 3
+    pres = _simplified_closure(*_torus(p, q))
+    assert len(pres.generators) == 2
+    assert count_augmentations(pres, 3) == AugTable(3, counts)
