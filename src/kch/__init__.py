@@ -9,8 +9,7 @@ from .augment import (AugTable, IntractableError, Signature, aug_signature,
                       count_augmentations, distinguish)
 from .augpoly import (AugPolyResult, augmentation_polynomial,
                       check_apoly_divisibility)
-from .dga import (FramedKnotDGA, build_dga, build_matrices, check_d_squared,
-                  check_grading)
+from .dga import FramedKnotDGA, build_dga, check_d_squared, check_grading
 from .diagram import (CrossingData, DiagramError, MoveError, PDCode,
                       apply_move, available_moves, crossing_data, mirror,
                       parse_pd, renumber)

@@ -129,11 +129,9 @@ def _presentation_report(pres):
 
 def _check_report(dga):
     """The d^2 = 0 and grading verdicts, and the failures behind them."""
-    d2 = check_d_squared(dga)
-    gr = check_grading(dga)
-    return ({"d_squared": "pass" if d2["pass"] else "fail",
-             "grading": "pass" if gr["pass"] else "fail"},
-            d2["failures"] + gr["failures"])
+    d2, gr = check_d_squared(dga), check_grading(dga)
+    return ({"d_squared": "fail" if d2 else "pass",
+             "grading": "fail" if gr else "pass"}, d2 + gr)
 
 
 def cmd_parse(args):

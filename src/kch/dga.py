@@ -45,7 +45,7 @@ def _check_size(n):
 def generator_counts(n):
     """Generators by degree of the DGA of an n-crossing diagram: the a_ij
     (i != j), the b_ij and c_ij, and the d_ij and e_i.  Raises
-    IntractableError past MAX_DGA_CROSSINGS, as build_matrices does."""
+    IntractableError past MAX_DGA_CROSSINGS, as FramedKnotDGA does."""
     _check_size(n)
     return {0: n * (n - 1), 1: 2 * n * n, 2: n * n + n}
 
@@ -67,53 +67,12 @@ def _sparse(*entries):
     return [(k - 1, acc[k]) for k in sorted(acc) if acc[k]]
 
 
-def build_matrices(cd):
-    """PsiL and PsiL2 as rows, PsiR and PsiR1 as columns, of nonzero
-    entries (k, NCPoly) in ascending k, and A as rows of NCPoly, for the
-    given crossing data.
-
-    Entries are indexed from 0 internally; crossing/arc numbers in the
-    crossing data are 1-based.  The Psi entries negate A's a_ij.
-    """
-    n = cd.n
-    _check_size(n)
-    a = [[_a_entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    eps1 = cd.eps[0]
-    mu = NCPoly.scalar(LaurentPoly.mu())
-    mats = {"psi_l": [], "psi_r": [], "psi_l2": [], "psi_r1": [], "A": a}
-    for al in range(1, n + 1):
-        o, l, r = cd.o[al - 1], cd.l[al - 1], cd.r[al - 1]
-        col_unit = LaurentPoly.lam(-eps1) if al == 1 else LaurentPoly.const(1)
-        r_unit = NCPoly.scalar(LaurentPoly.unit(1, eps1, 1) if al == 1
-                               else LaurentPoly.mu())
-        mats["psi_l"].append(_sparse((r, NCPoly.scalar(col_unit)), (l, mu),
-                                     (o, -a[l - 1][o - 1])))
-        mats["psi_r"].append(_sparse((r, r_unit), (l, NCPoly.scalar(1)),
-                                     (o, -a[o - 1][l - 1])))
-        mats["psi_l2"].append(_sparse((l, mu), (o, -a[l - 1][o - 1])))
-        mats["psi_r1"].append(_sparse((r, r_unit)))
-    return mats
-
-
 def _sum_of_products(pairs):
     """Sum of the products x*y over the (x, y) pairs, in order."""
     t = {}
     for x, y in pairs:
         _mul_into(t, x.terms, y.terms)
     return _poly(t)
-
-
-def relation_products(mats):
-    """dB = PsiL.A and dC = A.PsiR as lists of rows.  Each entry is summed
-    over the nonzero entries of a PsiL row or PsiR column in ascending k;
-    every entry of A is a single term, so the words of one product never
-    coincide and each product adds straight into the sum."""
-    a = mats["A"]
-    cols = range(len(a))
-    return ([[_sum_of_products((x, a[k][j]) for k, x in row) for j in cols]
-             for row in mats["psi_l"]],
-            [[_sum_of_products((a_row[k], x) for k, x in col)
-              for col in mats["psi_r"]] for a_row in a])
 
 
 def _d_image(b_row, right, left, c_col):
@@ -133,39 +92,64 @@ def _d_image(b_row, right, left, c_col):
 
 
 class FramedKnotDGA:
-    """The matrices, formed with the DGA, and the differential, built on
-    first read.  ``matrices`` holds PsiL and PsiL2 as rows and PsiR and
-    PsiR1 as columns of nonzero entries, A as rows (as build_matrices gives
-    them), and the images dB = PsiL.A and dC = A.PsiR as rows, whose
-    entries are the relations of the degree-0 presentation."""
+    """The framed knot DGA of the given crossing data: its matrices,
+    formed here, and its differential, built on first read.
+
+    ``psi_l`` and ``psi_l2`` are rows and ``psi_r`` and ``psi_r1`` columns
+    of nonzero entries (k, NCPoly) in ascending 0-based k; the Psi entries
+    negate A's a_ij.  ``a`` is A as rows of NCPoly, and ``db`` = PsiL.A and
+    ``dc`` = A.PsiR are rows whose entries are the relations of the
+    degree-0 presentation.  Each entry of a product is summed over the
+    nonzero entries of a PsiL row or PsiR column in ascending k; every
+    entry of A is a single term, so the words of one product never
+    coincide and each product adds straight into the sum.  Crossing and
+    arc numbers in the crossing data are 1-based."""
 
     def __init__(self, cd):
-        self.cd = cd
-        self.n = cd.n
-        self.matrices = mats = build_matrices(cd)
-        mats["dB"], mats["dC"] = relation_products(mats)
+        self.n = n = cd.n
+        _check_size(n)
+        self.a = a = [[_a_entry(i, j) for j in range(1, n + 1)]
+                      for i in range(1, n + 1)]
+        eps1 = cd.eps[0]
+        mu = NCPoly.scalar(LaurentPoly.mu())
+        self.psi_l, self.psi_r, self.psi_l2, self.psi_r1 = [], [], [], []
+        for al in range(1, n + 1):
+            o, l, r = cd.o[al - 1], cd.l[al - 1], cd.r[al - 1]
+            col_unit = (LaurentPoly.lam(-eps1) if al == 1
+                        else LaurentPoly.const(1))
+            r_unit = NCPoly.scalar(LaurentPoly.unit(1, eps1, 1) if al == 1
+                                   else LaurentPoly.mu())
+            self.psi_l.append(_sparse((r, NCPoly.scalar(col_unit)), (l, mu),
+                                      (o, -a[l - 1][o - 1])))
+            self.psi_r.append(_sparse((r, r_unit), (l, NCPoly.scalar(1)),
+                                      (o, -a[o - 1][l - 1])))
+            self.psi_l2.append(_sparse((l, mu), (o, -a[l - 1][o - 1])))
+            self.psi_r1.append(_sparse((r, r_unit)))
+        cols = range(n)
+        self.db = [[_sum_of_products((x, a[k][j]) for k, x in row)
+                    for j in cols] for row in self.psi_l]
+        self.dc = [[_sum_of_products((a_row[k], x) for k, x in col)
+                    for col in self.psi_r] for a_row in a]
 
     @cached_property
     def differential(self):
-        n, mats = self.n, self.matrices
+        n = self.n
         # one-letter words of b_ij and c_ij, indexed from 0
         b, c = ([[(Generator(kind, i, j),) for j in range(1, n + 1)]
                  for i in range(1, n + 1)] for kind in "bc")
         c_cols = list(zip(*c))
-        l_rows, r_cols = mats["psi_l"], mats["psi_r"]
-        l2_rows, r1_cols = mats["psi_l2"], mats["psi_r1"]
         zero = NCPoly.zero()
         # the a_ij of A, off its diagonal, have zero images
-        images = {w[0]: zero for row in mats["A"] for entry in row
+        images = {w[0]: zero for row in self.a for entry in row
                   for w in entry.terms if w}
         for i in range(n):
             for j in range(n):
-                images[b[i][j][0]] = mats["dB"][i][j]
-                images[c[i][j][0]] = mats["dC"][i][j]
+                images[b[i][j][0]] = self.db[i][j]
+                images[c[i][j][0]] = self.dc[i][j]
                 images[Generator("d", i + 1, j + 1)] = _d_image(
-                    b[i], r_cols[j], l_rows[i], c_cols[j])
+                    b[i], self.psi_r[j], self.psi_l[i], c_cols[j])
             images[Generator("e", i + 1)] = _d_image(
-                b[i], r1_cols[i], l2_rows[i], c_cols[i])
+                b[i], self.psi_r1[i], self.psi_l2[i], c_cols[i])
         return Derivation(images)
 
     @property
@@ -179,18 +163,20 @@ def build_dga(cd):
 
 
 def check_d_squared(dga):
-    """Apply the differential twice to every generator; report residues."""
+    """Apply the differential twice to every generator; the failures, one
+    per generator whose d^2 is nonzero, with the residue."""
     d = dga.differential
     failures = []
     for g in dga.generators:
         res = d.apply(d.images[g])
         if res:
             failures.append({"generator": g.name(), "residue": str(res)})
-    return {"check": "d_squared", "pass": not failures, "failures": failures}
+    return failures
 
 
 def check_grading(dga):
-    """Every differential image must be homogeneous of degree one less."""
+    """Every differential image must be homogeneous of degree one less;
+    the failures, one per generator whose image is not."""
     d = dga.differential
     failures = []
     for g in dga.generators:
@@ -201,4 +187,4 @@ def check_grading(dga):
         if deg == "inhomogeneous" or deg != g.degree - 1:
             failures.append({"generator": g.name(), "image_degree": str(deg),
                              "expected": g.degree - 1})
-    return {"check": "grading", "pass": not failures, "failures": failures}
+    return failures

@@ -17,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .dga import IntractableError, build_matrices, relation_products
+from .dga import IntractableError, build_dga
 from .ncalg import NCPoly, is_unit_multiple
 
 
@@ -26,12 +26,6 @@ class Presentation:
     generators: list
     relations: list
     substitution_log: list = field(default_factory=list)
-
-    def __str__(self):
-        lines = ["generators: " + ", ".join(g.name() for g in self.generators)]
-        for rel in self.relations:
-            lines.append("  0 = %s" % rel)
-        return "\n".join(lines)
 
     @cached_property
     def commutative(self):
@@ -56,10 +50,10 @@ class Presentation:
         return variables, [r for r in rels if r]
 
 
-def relation_presentation(rel_l, rel_r):
-    """All a_ij with the entries of rel_l = PsiL.A and then of
-    rel_r = A.PsiR, each a list of rows read row by row, as relations."""
-    relations = [e for m in (rel_l, rel_r) for row in m for e in row]
+def relation_presentation(dga):
+    """All a_ij with the entries of the DGA's dB = PsiL.A and then of its
+    dC = A.PsiR, each read row by row, as relations."""
+    relations = [e for m in (dga.db, dga.dc) for row in m for e in row]
     gens = sorted({g for rel in relations for g in rel.generators()})
     return Presentation(generators=gens, relations=relations)
 
@@ -67,7 +61,7 @@ def relation_presentation(rel_l, rel_r):
 def extract_presentation(cd):
     """All a_ij with the 2n^2 entries of PsiL.A and A.PsiR as relations.
     kch.pipeline.Run does not call this: it reads them off the DGA."""
-    return relation_presentation(*relation_products(build_matrices(cd)))
+    return relation_presentation(build_dga(cd))
 
 
 def _offer(rel, alive):

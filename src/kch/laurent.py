@@ -398,16 +398,6 @@ class UniPoly:
     def __eq__(self, other):
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            xs = "" if k == 0 else ("x" if k == 1 else "x^%d" % k)
-            parts.append("(%s)%s" % (render(c), xs))
-        return " + ".join(reversed(parts))
 
 
 def _block_minors(p, d):

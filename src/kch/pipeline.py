@@ -33,8 +33,7 @@ class Run:
     @cached_property
     def presentation(self):
         """The entries of the DGA's dB = PsiL.A and dC = A.PsiR."""
-        return relation_presentation(self.dga.matrices["dB"],
-                                     self.dga.matrices["dC"])
+        return relation_presentation(self.dga)
 
     @cached_property
     def simplified(self):

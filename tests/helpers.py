@@ -64,7 +64,7 @@ def kink_chain(n):
 
 def sparse(rows):
     """Rows (or columns) of a dense n x n list as (k, entry) over its
-    nonzero entries, the form of build_matrices' Psi matrices."""
+    nonzero entries, the form of FramedKnotDGA's Psi matrices."""
     return [[(k, e) for k, e in enumerate(row) if e] for row in rows]
 
 

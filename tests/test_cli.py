@@ -28,7 +28,7 @@ from kch.diagram import (apply_move, available_moves, mirror, parse_pd,
                          reduced, to_text)
 from kch.knots import bundled_table
 from kch.laurent import MINUS_ONE, ONE, LaurentPoly
-from kch.ncalg import NCPoly
+from kch.ncalg import Generator, NCPoly
 from kch.pipeline import Run
 
 TREFOIL_LH = "PD[X[3,6,4,1],X[5,2,6,3],X[1,4,2,5]]"
@@ -123,6 +123,41 @@ def test_dga_check(capsys):
     assert rep["grading"] == "pass"
     assert rep["generators"] == {"degree_0": 6, "degree_1": 18,
                                  "degree_2": 12}
+
+
+@pytest.mark.parametrize("letters, grading", [
+    pytest.param("b", "pass", id="degree-kept"),
+    pytest.param("bc", "fail", id="degree-broken"),
+])
+def test_dga_check_reports_failures(capsys, tmp_path, monkeypatch, letters,
+                                    grading):
+    # negative control: every d_ij and e_i image gets one more word, whose
+    # image under d is not zero; a word of degree 2 also breaks the
+    # grading.  Both commands name the verdicts and still exit 0, and
+    # `dga --check` lists every failing generator
+    extra = NCPoly.gen(Generator("b", 2, 2))
+    if letters == "bc":
+        extra = extra * NCPoly.gen(Generator("c", 3, 3))
+    d_image = kch.dga._d_image
+    monkeypatch.setattr(kch.dga, "_d_image",
+                        lambda *args: d_image(*args) + extra)
+    code, out, _ = run_cli(capsys, "dga", "--check", "--pd", TREFOIL_LH)
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["d_squared"], rep["grading"]) == ("fail", grading)
+    want = {"d%d%d" % (i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
+    want |= {"e1", "e2", "e3"}
+    by_check = collections.defaultdict(set)
+    for f in rep["failures"]:
+        by_check["residue" in f].add(f["generator"])
+    assert by_check[True] == want
+    assert by_check[False] == (want if grading == "fail" else set())
+    f = tmp_path / "knots.txt"
+    f.write_text("tref: %s\n" % TREFOIL_LH)
+    code, out, _ = run_cli(capsys, "table", str(f), "--primes", "2")
+    assert code == 0
+    knot, = json.loads(out)["knots"]
+    assert (knot["d_squared"], knot["grading"]) == ("fail", grading)
 
 
 @pytest.mark.parametrize("argv", [["dga", "--check"], ["hc0", "--no-simplify"],

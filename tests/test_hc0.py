@@ -36,8 +36,7 @@ def test_presentation_from_dga_products_matches_extract():
     # extract_presentation's, in the same order with the same term order
     for name, _ in bundled_table():
         cd = crossing_data(bundled_knot(name))
-        mats = build_dga(cd).matrices
-        got = relation_presentation(mats["dB"], mats["dC"])
+        got = relation_presentation(build_dga(cd))
         want = extract_presentation(cd)
         assert got.generators == want.generators
         assert [list(r.terms.items()) for r in got.relations] \

@@ -9,7 +9,7 @@ from helpers import bundled_knot, dense, matmul, nc_unit_normalize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kch.dga import build_dga, build_matrices, relation_products
+from kch.dga import build_dga
 from kch.diagram import apply_move, available_moves, crossing_data
 from kch.knots import bundled_table
 from kch.laurent import MINUS_ONE, ONE, LaurentPoly
@@ -307,12 +307,11 @@ def test_matrix_product_matches_dense_loop(seed):
                                         if m["move"] in kinds]))
     cd = crossing_data(pd)
     assert cd.degenerate
-    mats = build_matrices(cd)
-    db, dc = relation_products(mats)
-    a = [[_unshared(x) for x in row] for row in mats["A"]]
+    dga = build_dga(cd)
+    a = [[_unshared(x) for x in row] for row in dga.a]
     psi_l, psi_r = ([[_unshared(x) for x in row] for row in m] for m in (
-        dense(mats["psi_l"], pd.n), dense(mats["psi_r"], pd.n, columns=True)))
-    for got, want in ((db, matmul(psi_l, a)), (dc, matmul(a, psi_r))):
+        dense(dga.psi_l, pd.n), dense(dga.psi_r, pd.n, columns=True)))
+    for got, want in ((dga.db, matmul(psi_l, a)), (dga.dc, matmul(a, psi_r))):
         for i in range(pd.n):
             for j in range(pd.n):
                 assert _exact(got[i][j]) == _exact(want[i][j]), (i, j)
